@@ -1,9 +1,9 @@
 // Prediction-serving benchmark for the micro-batching daemon
 // (src/serve/predict_daemon.h). Trains a GBDT serving ensemble, compiles
 // and saves it as a `flaml-compiled v1` artifact, then drives the daemon
-// with concurrent client threads at several batch windows and writes
+// with concurrent client threads at several batch row caps and writes
 // machine-readable results to BENCH_predict_serve.json: a direct
-// predict_many baseline plus, per (batch window × client count), per-request
+// predict_many baseline plus, per (row cap × client count), per-request
 // latency percentiles (p50/p90/p99), rows/sec throughput and the observed
 // mean batch occupancy. Also re-asserts the serving bit-identity contract
 // on the benchmark traffic: every daemon reply must be bit-identical to
@@ -46,9 +46,9 @@ struct WindowSpec {
 
 constexpr WindowSpec kWindows[] = {
     {1, 4},     // every request is its own batch (batching disabled)
-    {64, 4},    // small window
-    {256, 4},   // default window
-    {256, 8},   // default window, more concurrency
+    {64, 4},    // small row cap
+    {256, 4},   // default row cap
+    {256, 8},   // default row cap, more concurrency
 };
 
 std::vector<std::vector<float>> make_rows(std::size_t n_rows, std::size_t width,
@@ -105,7 +105,6 @@ JsonValue bench_window(const serve::CompiledModel& model,
                        bool* identical_out) {
   serve::PredictDaemonOptions options;
   options.max_batch_rows = spec.max_batch_rows;
-  options.max_batch_delay_ms = 0.5;
   options.n_threads = 2;
   serve::PredictDaemon daemon(options);
   daemon.load(artifact_path);
@@ -172,7 +171,8 @@ JsonValue bench_window(const serve::CompiledModel& model,
                     : batch_rows_sum / static_cast<double>(latencies.size())));
   entry.set("bit_identical", JsonValue::make_bool(identical));
   if (identical_out != nullptr) *identical_out = identical;
-  std::cerr << "  window=" << spec.max_batch_rows << " clients=" << spec.clients
+  std::cerr << "  max_batch_rows=" << spec.max_batch_rows
+            << " clients=" << spec.clients
             << ": p50=" << percentile(latencies, 50.0) << " s, "
             << (wall_s > 0.0 ? total_rows / wall_s : 0.0) << " rows/s, "
             << (identical ? "bit-identical" : "DIVERGED") << "\n";

@@ -6,7 +6,10 @@
 # predict from inline rows and from an unlabeled CSV, hot-swap to the
 # second artifact, reload-poll, stats, drain, shutdown — checking every
 # response line. An error request (predict before rows) must produce a
-# typed refusal, not tear the stream down.
+# typed refusal, not tear the stream down. Then one socket-mode serve
+# process gets a large predict from a client that hangs up before the
+# reply: that must end only the client's connection — the daemon keeps
+# answering and exits cleanly on shutdown (no SIGPIPE).
 #
 # Usage:
 #   scripts/predict_serve_smoke.sh [bindir]   # default build/tools
@@ -22,7 +25,8 @@ for tool in flaml_train flaml_predict_serve; do
 done
 
 workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
+server=""
+trap '[ -n "$server" ] && kill "$server" 2> /dev/null; rm -rf "$workdir"' EXIT
 
 # Deterministic binary-classification training set: y = a + b > 1.
 awk 'BEGIN {
@@ -91,4 +95,48 @@ expect 10 '"predict.requests"'    "stats exposes request counters"
 expect 11 '"drained":true'        "drain acknowledges"
 expect 12 '"bye":true'            "shutdown acknowledges"
 
-echo "predict_serve_smoke: OK ($(wc -l < "$workdir/responses") responses, $bindir)"
+# --- socket mode: a client that disconnects before its reply ---
+sock="$workdir/predict.sock"
+"$bindir/flaml_predict_serve" serve --socket="$sock" \
+  --artifact="$workdir/model_a.bin" 2> "$workdir/serve.log" &
+server=$!
+for _ in $(seq 100); do
+  [ -S "$sock" ] && break
+  sleep 0.1
+done
+client() { "$bindir/flaml_predict_serve" "$@" --socket="$sock"; }
+
+python3 - "$sock" <<'PY'
+import socket, sys
+rows = ",".join(["[0.1,0.9,0.5]"] * 20000)
+conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+conn.connect(sys.argv[1])
+conn.sendall(('{"op":"predict","rows":[%s]}\n' % rows).encode())
+conn.close()  # hang up before the reply is written
+PY
+
+# Wait until the abandoned request was scored, so its reply write has been
+# attempted, then require the daemon to still answer.
+for _ in $(seq 100); do
+  client stats 2> /dev/null | grep -q '"predict.requests":1' && break
+  sleep 0.1
+done
+sleep 0.2
+if ! client ping > "$workdir/ping" 2>&1 ||
+   ! grep -q '"pong":true' "$workdir/ping"; then
+  echo "predict_serve_smoke: FAIL [daemon survives an early hang-up]" >&2
+  cat "$workdir/ping" "$workdir/serve.log" >&2
+  exit 1
+fi
+client shutdown > /dev/null
+status=0
+wait "$server" || status=$?
+server=""
+if [ "$status" -ne 0 ]; then
+  echo "predict_serve_smoke: FAIL [socket daemon exited $status]" >&2
+  cat "$workdir/serve.log" >&2
+  exit 1
+fi
+
+echo "predict_serve_smoke: OK ($(wc -l < "$workdir/responses") stdio" \
+  "responses + socket disconnect case, $bindir)"

@@ -98,7 +98,6 @@ class Checker {
       if (event.type == "predict_daemon_started") {
         if (i != 0) fail(i, "predict_daemon_started must be the first event");
         require(i, event, "max_batch_rows", JsonValue::Type::Number);
-        require(i, event, "max_batch_delay_ms", JsonValue::Type::Number);
       } else if (event.type == "predict_model_loaded") {
         require(i, event, "kind", JsonValue::Type::String);
         require(i, event, "task", JsonValue::Type::String);

@@ -34,13 +34,9 @@ PredictDaemon::PredictDaemon(PredictDaemonOptions options)
     : options_(std::move(options)), tracer_(options_.trace_sink) {
   FLAML_REQUIRE(options_.max_batch_rows >= 1,
                 "predict daemon needs max_batch_rows >= 1");
-  FLAML_REQUIRE(options_.max_batch_delay_ms >= 0.0,
-                "predict daemon needs max_batch_delay_ms >= 0");
   if (tracer_) {
     JsonValue fields = JsonValue::make_object();
     fields.set("max_batch_rows", resume::json_size(options_.max_batch_rows));
-    fields.set("max_batch_delay_ms",
-               JsonValue::make_number(options_.max_batch_delay_ms));
     fields.set("n_threads", JsonValue::make_number(options_.n_threads));
     tracer_.emit("predict_daemon_started", std::move(fields));
   }
@@ -227,19 +223,10 @@ void PredictDaemon::batcher_loop() {
     cv_work_.wait(lock, [&] { return stop_ || !queue_.empty(); });
     if (stop_) return;
 
-    // The window: flush when enough rows accumulated, when the oldest
-    // request has waited long enough, or on shutdown.
-    const auto deadline =
-        queue_.front()->enqueued +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(options_.max_batch_delay_ms));
-    cv_work_.wait_until(lock, deadline, [&] {
-      return stop_ || queued_rows_ >= options_.max_batch_rows;
-    });
-    if (stop_) return;
-
-    // Take WHOLE requests from the front until the batch is full. The first
-    // request is always taken, so an oversized request forms its own batch.
+    // Work-conserving: serve what is queued now; requests arriving while
+    // this batch is in flight form the next one. Take WHOLE requests from
+    // the front until the batch is full. The first request is always
+    // taken, so an oversized request forms its own batch.
     std::vector<std::shared_ptr<Pending>> batch;
     std::size_t batch_rows = 0;
     while (!queue_.empty() &&
@@ -269,7 +256,7 @@ void PredictDaemon::batcher_loop() {
 void PredictDaemon::serve_batch(std::vector<std::shared_ptr<Pending>> batch,
                                 std::shared_ptr<const CompiledModel> model,
                                 std::uint64_t generation) {
-  const auto flush_time = Clock::now();
+  const auto batch_start = Clock::now();
   const std::size_t width = model->n_features();
 
   // A request queued just before an incompatible swap carries the OLD
@@ -338,7 +325,7 @@ void PredictDaemon::serve_batch(std::vector<std::shared_ptr<Pending>> batch,
     reply.generation = generation;
     reply.batch_rows = total_rows;
     reply.batch_requests = serving.size();
-    reply.queue_ms = ms_between(pending->enqueued, flush_time);
+    reply.queue_ms = ms_between(pending->enqueued, batch_start);
     metrics_.observe("predict.queue_ms", reply.queue_ms);
     metrics_.observe("predict.latency_ms",
                      ms_between(pending->enqueued, done_time));
@@ -363,7 +350,7 @@ void PredictDaemon::serve_batch(std::vector<std::shared_ptr<Pending>> batch,
     fields.set("requests", resume::json_size(serving.size()));
     fields.set("rows", resume::json_size(total_rows));
     fields.set("predict_ms",
-               JsonValue::make_number(ms_between(flush_time, done_time)));
+               JsonValue::make_number(ms_between(batch_start, done_time)));
     tracer_.emit("predict_batch", std::move(fields));
   }
 }

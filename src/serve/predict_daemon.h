@@ -3,16 +3,18 @@
 //
 // A PredictDaemon owns one hot CompiledModel slot plus a single batcher
 // thread. Callers (one per client connection) enqueue whole requests with
-// predict(); the batcher accumulates queued requests until either
-// `max_batch_rows` rows are waiting or the OLDEST queued request has waited
-// `max_batch_delay_ms`, then serves the accumulated requests as ONE
-// row-sharded CompiledModel::predict_many call over the shared ThreadPool
-// and scatters the per-row results back to each caller. Because
-// predict_many computes every row independently and in row order
-// (compiled_model.h determinism contract), batching requests together is
-// BIT-identical to predicting each request alone — at every batch window,
-// thread count and request interleaving. tests/test_predict_daemon.cpp
-// pins that equality.
+// predict(). The batcher is work-conserving: a request is served as soon
+// as the batcher is idle; requests arriving while a batch is in flight
+// form the next batch (whole requests, up to `max_batch_rows` rows). Each
+// batch is ONE row-sharded CompiledModel::predict_many call over the
+// shared ThreadPool whose per-row results are scattered back to each
+// caller. No timer holds a request back, so batching follows load: a lone
+// request on an idle daemon is scored at once, a busy daemon scores what
+// piled up during the previous batch together. Because predict_many
+// computes every row independently and in row order (compiled_model.h
+// determinism contract), batching requests together is BIT-identical to
+// predicting each request alone — at every row cap, thread count and
+// request interleaving. tests/test_predict_daemon.cpp pins that equality.
 //
 // Hot swap: load()/swap()/poll_reload() atomically replace the
 // shared_ptr<const CompiledModel> under the queue mutex and bump a
@@ -56,10 +58,8 @@
 namespace flaml::serve {
 
 struct PredictDaemonOptions {
-  // Flush the pending queue once this many rows are waiting...
+  // Row cap of one batch; a single larger request forms a batch of its own.
   std::size_t max_batch_rows = 256;
-  // ...or once the oldest queued request has waited this long.
-  double max_batch_delay_ms = 2.0;
   // Threads per predict_many call (0 = hardware concurrency).
   int n_threads = 0;
   // Optional structured trace sink (predict_* events).
@@ -91,7 +91,7 @@ class PredictDaemon {
     // Occupancy of the batch that served this request.
     std::size_t batch_rows = 0;
     std::size_t batch_requests = 0;
-    // Time the request spent queued before its batch flushed.
+    // Time the request spent queued before its batch started.
     double queue_ms = 0.0;
   };
 

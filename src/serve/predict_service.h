@@ -33,7 +33,9 @@
 //
 // handle()/handle_line() are safe to call from multiple threads — that is
 // the point: the CLI serves each AF_UNIX connection on its own thread, so
-// the daemon's micro-batching window spans concurrent clients.
+// one batch spans concurrent clients. A request is served as soon as the
+// batcher is idle; requests arriving while a batch is in flight form the
+// next batch.
 #pragma once
 
 #include <atomic>

@@ -101,7 +101,6 @@ TEST(StressPredictServe, SwapUnderTrafficKeepsEveryReplyGenerationCoherent) {
 
   PredictDaemonOptions options;
   options.max_batch_rows = 32;
-  options.max_batch_delay_ms = 0.5;
   options.n_threads = 2;
   PredictDaemon daemon(options);
   daemon.load(path_a);  // generation 1 = A; every swap alternates B, A, ...
@@ -164,7 +163,6 @@ TEST(StressPredictServe, DrainStatsAndShutdownUnderTraffic) {
 
   PredictDaemonOptions options;
   options.max_batch_rows = 16;
-  options.max_batch_delay_ms = 0.2;
   auto daemon = std::make_unique<PredictDaemon>(options);
   daemon->load(path);
 

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "automl/automl.h"
 #include "common/error.h"
 #include "observe/trace_check.h"
@@ -187,7 +189,9 @@ FLAML_PROP(ResumeStress, RoundRobinParallelResumeKeepsSerialIdentity, 2) {
 const std::string& fuzz_checkpoint_text() {
   static const std::string text = [] {
     const Dataset data = resume_tiny_binary(97);
-    const std::string path = ::testing::TempDir() + "resume_fuzz_source.ckpt";
+    // Per-process name: ctest -j runs the sibling fuzz properties at once.
+    const std::string path = ::testing::TempDir() + "resume_fuzz_source_" +
+                             std::to_string(::getpid()) + ".ckpt";
     AutoMLOptions options = resume_options(17, 10);
     AutoML automl;
     [&] { run_killed_fit(automl, data, options, path, 6); }();

@@ -1,6 +1,6 @@
 // Differential suite for the prediction daemon (src/serve/predict_daemon.h)
 // and its wire service: micro-batched serving must be BIT-identical to
-// direct CompiledModel::predict_many for every batch window, thread count
+// direct CompiledModel::predict_many for every batch row cap, thread count
 // and request interleaving (whole requests are never split, and per-row
 // computation is row-independent); hot swap must atomically move every
 // subsequent reply to the new generation; corrupt artifacts and malformed
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <fstream>
@@ -125,15 +126,16 @@ Predictions direct_predict(const CompiledModel& model,
   return model.predict_many(DataView(data), 1);
 }
 
-// The headline contract: concurrent requests, batched however the window
-// slices them, must come back bit-identical to direct predict_many.
+// The headline contract: concurrent requests, batched however the row cap
+// and the arrival order slice them (requests that arrive while a batch is in
+// flight share the next one), must come back bit-identical to direct
+// predict_many.
 void check_batched_differential(const CompiledModel& model,
                                 const std::string& artifact,
-                                std::size_t max_batch_rows, double delay_ms,
-                                int n_threads, const std::string& what) {
+                                std::size_t max_batch_rows, int n_threads,
+                                const std::string& what) {
   PredictDaemonOptions options;
   options.max_batch_rows = max_batch_rows;
-  options.max_batch_delay_ms = delay_ms;
   options.n_threads = n_threads;
   PredictDaemon daemon(options);
   daemon.load(artifact);
@@ -141,7 +143,7 @@ void check_batched_differential(const CompiledModel& model,
   const std::size_t kRequests = 8;
   std::vector<std::vector<std::vector<float>>> requests;
   for (std::size_t i = 0; i < kRequests; ++i) {
-    // Mixed sizes: single rows, mid-size, and one larger than most windows.
+    // Mixed sizes: single rows, mid-size, and one larger than most row caps.
     const std::size_t n_rows = i % 3 == 0 ? 1 : (i % 3 == 1 ? 9 : 40);
     requests.push_back(make_rows(n_rows, model.n_features(), 1000 + i));
   }
@@ -166,13 +168,12 @@ void check_batched_differential(const CompiledModel& model,
 TEST(PredictDaemon, BatchedBitIdenticalAcrossWindowsAndThreads) {
   const CompiledModel model = train_compiled("lgbm", Task::Regression, 0xA1);
   const std::string artifact = write_artifact(model, "daemon_reg.bin");
-  for (const std::size_t window : {std::size_t{1}, std::size_t{16},
-                                   std::size_t{64}, std::size_t{100000}}) {
+  for (const std::size_t row_cap : {std::size_t{1}, std::size_t{16},
+                                    std::size_t{64}, std::size_t{100000}}) {
     for (const int threads : {1, 3}) {
-      check_batched_differential(
-          model, artifact, window, window == 100000 ? 25.0 : 2.0, threads,
-          "window=" + std::to_string(window) +
-              " threads=" + std::to_string(threads));
+      check_batched_differential(model, artifact, row_cap, threads,
+                                 "row_cap=" + std::to_string(row_cap) +
+                                     " threads=" + std::to_string(threads));
     }
   }
 }
@@ -182,7 +183,7 @@ TEST(PredictDaemon, ClassificationProbabilitiesBatchBitIdentical) {
     const CompiledModel model = train_compiled("lgbm", task, 0xB2);
     const std::string artifact =
         write_artifact(model, std::string("daemon_cls_") + task_name(task) + ".bin");
-    check_batched_differential(model, artifact, 64, 10.0, 2,
+    check_batched_differential(model, artifact, 64, 2,
                                std::string("cls ") + task_name(task));
   }
 }
@@ -193,8 +194,35 @@ TEST(PredictDaemon, ForestAndLinearModelsServe) {
         train_compiled(learner, Task::BinaryClassification, 0xC3);
     const std::string artifact =
         write_artifact(model, std::string("daemon_") + learner + ".bin");
-    check_batched_differential(model, artifact, 32, 5.0, 2, learner);
+    check_batched_differential(model, artifact, 32, 2, learner);
   }
+}
+
+// Work conservation: sequential single-row requests from one thread always
+// find the batcher idle, so each must be served on arrival, not held back
+// for company that never comes.
+TEST(PredictDaemon, IdleDaemonDoesNotHoldALoneRequest) {
+  const CompiledModel model = train_compiled("lgbm", Task::Regression, 0xE1);
+  const std::string artifact = write_artifact(model, "daemon_idle.bin");
+  PredictDaemonOptions options;
+  options.n_threads = 1;
+  PredictDaemon daemon(options);
+  daemon.load(artifact);
+
+  constexpr int kRequests = 50;
+  std::vector<double> queue_ms;
+  for (int i = 0; i < kRequests; ++i) {
+    const auto rows = make_rows(1, model.n_features(), 300 + i);
+    const PredictDaemon::Reply reply = daemon.predict(rows);
+    EXPECT_EQ(reply.batch_requests, 1u);
+    expect_bits_equal(direct_predict(model, rows), reply.pred,
+                      "lone request " + std::to_string(i));
+    queue_ms.push_back(reply.queue_ms);
+  }
+  std::nth_element(queue_ms.begin(), queue_ms.begin() + kRequests / 2,
+                   queue_ms.end());
+  EXPECT_LT(queue_ms[kRequests / 2], 1.0)
+      << "median queue time of a lone request on an idle daemon";
 }
 
 TEST(PredictDaemon, SwapMovesEveryLaterReplyToTheNewGeneration) {

@@ -73,14 +73,24 @@ TEST(Controller, CheapLearnersGetMoreTrials) {
   Dataset data = make_classification(spec);
   AutoML automl;
   AutoMLOptions options;
-  options.time_budget_seconds = 1.5;
+  options.time_budget_seconds = 1e6;  // the trial cap ends the search
+  options.max_iterations = 10;
   options.initial_sample_size = 400;
   options.estimator_list = {"lgbm", "catboost"};  // 1x vs 15x cost multiplier
   options.seed = 7;
+  // Modeled trial costs in the learners' own cost ratio, growing with the
+  // sample: measured seconds would make the allocation depend on how busy
+  // the machine is (e.g. under ctest -j).
+  options.trial_cost_model = [](const Learner& learner, const Config&,
+                                std::size_t sample_size) {
+    return learner.initial_cost_multiplier() *
+           (0.05 + 0.001 * static_cast<double>(sample_size));
+  };
   automl.fit(data, options);
   std::map<std::string, int> trials;
   for (const auto& r : automl.history()) trials[r.learner] += 1;
-  EXPECT_GT(trials["lgbm"], trials["catboost"]);
+  EXPECT_GT(trials["lgbm"], trials["catboost"])
+      << trials["lgbm"] << " lgbm vs " << trials["catboost"] << " catboost";
 }
 
 // Sample size never decreases within a learner's run except at restarts

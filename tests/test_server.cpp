@@ -15,6 +15,8 @@
 #include <sstream>
 #include <thread>
 
+#include <unistd.h>
+
 #include "server/service.h"
 #include "support/resume_test_util.h"
 
@@ -298,12 +300,22 @@ TEST(SearchDaemon, QuantumSharesOneSlotRoundRobin) {
   SearchDaemon daemon({/*slots=*/1, /*trace_capacity=*/512});
   JobOptions job_options;
   job_options.quantum_trials = 2;
+  // A quantum yields only to a WAITING peer, so hold the first job after its
+  // first trial until the second is queued; otherwise a loaded machine can
+  // let it run several quanta before the second submit lands.
+  std::atomic<bool> both_queued{false};
   std::vector<std::uint64_t> ids;
   for (std::uint64_t seed : {61, 62}) {
     auto data = std::make_shared<const Dataset>(resume_tiny_binary(seed));
-    ids.push_back(daemon.submit(data, resume_options(seed, iterations),
-                                job_options, stub_lineup()));
+    AutoMLOptions options = resume_options(seed, iterations);
+    if (ids.empty()) {
+      options.on_trial_committed = [&](std::size_t iteration) {
+        while (iteration == 1 && !both_queued.load()) std::this_thread::yield();
+      };
+    }
+    ids.push_back(daemon.submit(data, options, job_options, stub_lineup()));
   }
+  both_queued.store(true);
   daemon.wait_all();
   for (std::size_t i = 0; i < ids.size(); ++i) {
     ASSERT_EQ(daemon.state(ids[i]), JobState::Finished);
@@ -589,7 +601,9 @@ std::string write_csv(const std::string& path, double y0) {
 }
 
 TEST(DatasetCache, RewrittenFileIsReparsedNotServedStale) {
-  const std::string path = ::testing::TempDir() + "cache_rewrite.csv";
+  // Per-process name: concurrent test processes never share the file.
+  const std::string path = ::testing::TempDir() + "cache_rewrite_" +
+                           std::to_string(::getpid()) + ".csv";
   server::DatasetCache cache;
 
   write_csv(path, 0.0);
@@ -632,7 +646,9 @@ TEST(DatasetCache, EvictsLeastRecentlyUsedAtCapacity) {
 }
 
 TEST(SearchService, SubmitPicksUpARewrittenCsv) {
-  const std::string path = ::testing::TempDir() + "service_rewrite.csv";
+  // Per-process name: concurrent test processes never share the file.
+  const std::string path = ::testing::TempDir() + "service_rewrite_" +
+                           std::to_string(::getpid()) + ".csv";
   SearchDaemon daemon({/*slots=*/1, /*trace_capacity=*/512});
   SearchService service(daemon);
   service.set_customize(stub_customize());

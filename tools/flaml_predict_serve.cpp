@@ -7,16 +7,16 @@
 //
 // Daemon (protocol in src/serve/predict_service.h):
 //   flaml_predict_serve serve [--artifact=model.bin]
-//       [--max-batch-rows=256] [--batch-delay-ms=2] [--threads=0]
-//       [--trace=events.jsonl]                                  # stdio
+//       [--max-batch-rows=256] [--threads=0] [--trace=events.jsonl]  # stdio
 //   flaml_predict_serve serve --socket=/tmp/predict.sock ...    # AF_UNIX
 //
 // stdio mode reads one JSON request per line on stdin — scriptable with a
 // heredoc, which is what scripts/predict_serve_smoke.sh does in CI. Socket
-// mode serves EACH connection on its own thread, so the daemon's
-// micro-batching window spans concurrent clients: requests arriving within
-// --batch-delay-ms of each other are scored as one row-sharded
-// predict_many call (bit-identical to scoring them alone).
+// mode serves EACH connection on its own thread, so one batch spans
+// concurrent clients: a request is served as soon as the batcher is idle,
+// and requests arriving while a batch is in flight form the next batch —
+// one row-sharded predict_many call of at most --max-batch-rows rows
+// (bit-identical to scoring them alone).
 //
 // Client (every subcommand needs --socket=PATH):
 //   flaml_predict_serve ping|stats|drain|reload|shutdown --socket=PATH
@@ -66,8 +66,7 @@ int usage() {
       stderr,
       "usage: flaml_predict_serve compile (--model=F | --checkpoint=F) --out=F\n"
       "       flaml_predict_serve serve [--artifact=F] [--socket=PATH]\n"
-      "                   [--max-batch-rows=256] [--batch-delay-ms=2]\n"
-      "                   [--threads=0] [--trace=FILE]\n"
+      "                   [--max-batch-rows=256] [--threads=0] [--trace=FILE]\n"
       "       flaml_predict_serve ping|stats|drain|reload|shutdown --socket=PATH\n"
       "       flaml_predict_serve load|swap --socket=PATH --artifact=F\n"
       "       flaml_predict_serve predict --socket=PATH --csv=rows.csv\n"
@@ -98,7 +97,9 @@ int run_compile(int argc, char** argv) {
 
 #ifndef _WIN32
 
-// One thread per accepted connection: the batching window spans clients.
+// One thread per accepted connection, so one batch spans clients. Replies
+// go out with MSG_NOSIGNAL: a client that hangs up before its reply ends
+// only its own connection, not the daemon (no SIGPIPE).
 int serve_socket(PredictService& service, const std::string& path) {
   ::unlink(path.c_str());
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -138,8 +139,8 @@ int serve_socket(PredictService& service, const std::string& path) {
           const std::string response = service.handle_line(line) + "\n";
           std::size_t written = 0;
           while (written < response.size()) {
-            const ssize_t w = ::write(client, response.data() + written,
-                                      response.size() - written);
+            const ssize_t w = ::send(client, response.data() + written,
+                                     response.size() - written, MSG_NOSIGNAL);
             if (w <= 0) break;
             written += static_cast<std::size_t>(w);
           }
@@ -199,8 +200,6 @@ int run_serve(int argc, char** argv) {
   PredictDaemonOptions options;
   options.max_batch_rows = static_cast<std::size_t>(
       std::stoul(flag(argc, argv, "max-batch-rows", "256")));
-  options.max_batch_delay_ms =
-      std::stod(flag(argc, argv, "batch-delay-ms", "2"));
   options.n_threads = std::stoi(flag(argc, argv, "threads", "0"));
   const std::string trace_path = flag(argc, argv, "trace", "");
   if (!trace_path.empty()) {

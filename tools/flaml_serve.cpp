@@ -69,6 +69,8 @@ int usage() {
 
 #ifndef _WIN32
 
+// Replies go out with MSG_NOSIGNAL: a client that hangs up before its reply
+// ends only its own connection, not the daemon (no SIGPIPE).
 int serve_socket(SearchService& service, const std::string& path) {
   ::unlink(path.c_str());
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -99,8 +101,8 @@ int serve_socket(SearchService& service, const std::string& path) {
         const std::string response = service.handle_line(line) + "\n";
         std::size_t written = 0;
         while (written < response.size()) {
-          const ssize_t w = ::write(client, response.data() + written,
-                                    response.size() - written);
+          const ssize_t w = ::send(client, response.data() + written,
+                                   response.size() - written, MSG_NOSIGNAL);
           if (w <= 0) break;
           written += static_cast<std::size_t>(w);
         }
