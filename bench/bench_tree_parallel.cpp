@@ -1,10 +1,10 @@
-// Microbenchmark for deterministic intra-trial parallelism. Times the
-// feature-parallel histogram build, leaf-wise and classification tree
-// growth, forest training and row-sharded prediction at n_threads
-// {1, 2, 4, 8} and writes machine-readable results to BENCH_tree.json
-// (sections with per-thread-count best-of-repeats seconds and
-// speedup_vs_serial). Also re-asserts the determinism contract on the
-// benchmark inputs: every parallel model must serialize byte-identically
+// Microbenchmark for deterministic intra-trial parallelism. Times the two
+// tree layers that take n_threads — tree-parallel forest training and
+// row-sharded prediction — at n_threads {1, 2, 4, 8} and writes
+// machine-readable results to BENCH_tree.json (sections with
+// per-thread-count best-of-repeats seconds and speedup_vs_serial). Each
+// tree itself grows serially. Also re-asserts the determinism contract on
+// the benchmark inputs: the parallel forest must serialize byte-identically
 // to its serial reference, and the result records whether that held.
 //
 // Also sweeps the histogram KERNELS (scalar reference vs every available
@@ -37,10 +37,7 @@
 #include "data/generators.h"
 #include "forest/forest.h"
 #include "common/json.h"
-#include "tree/class_grower.h"
-#include "tree/grower.h"
 #include "tree/histogram.h"
-#include "tree/tree_io.h"
 
 namespace flaml::bench {
 namespace {
@@ -197,7 +194,7 @@ JsonValue kernel_sweep(const BenchData& data, int repeats, double& best_speedup,
   best_speedup = 0.0;
   all_identical = true;
   const HistKernel kernels[] = {HistKernel::Scalar, HistKernel::Portable,
-                                HistKernel::Sse2, HistKernel::Avx2};
+                                HistKernel::Sse2};
   for (HistKernel kernel : kernels) {
     if (!hist_kernel_available(kernel)) continue;
     const bool scalar = kernel == HistKernel::Scalar;
@@ -288,31 +285,6 @@ JsonValue kernel_sweep(const BenchData& data, int repeats, double& best_speedup,
   return section;
 }
 
-std::string tree_string(const Tree& tree) {
-  std::ostringstream os;
-  os.precision(17);
-  write_tree(os, tree);
-  return os.str();
-}
-
-Tree grow_leafwise(const BenchData& data, int n_threads) {
-  GrowerParams params;
-  params.max_leaves = 63;
-  params.n_threads = n_threads;
-  GradientTreeGrower grower(data.mapper, data.binned);
-  Rng rng(0x51ULL);
-  return grower.grow(data.rows, data.grad, data.hess, data.features, params, rng);
-}
-
-Tree grow_class(const BenchData& data, int n_threads) {
-  ClassGrowerParams params;
-  params.max_leaves = 63;
-  params.n_threads = n_threads;
-  ClassTreeGrower grower(data.class_mapper, data.class_binned, 3);
-  Rng rng(0x52ULL);
-  return grower.grow(data.rows, data.labels, {}, params, rng);
-}
-
 std::string forest_string(const BenchData& data, int n_threads) {
   ForestParams params;
   params.n_trees = 16;
@@ -323,30 +295,17 @@ std::string forest_string(const BenchData& data, int n_threads) {
   return os.str();
 }
 
-// Serial-vs-parallel byte equality on the benchmark inputs; records one
-// named boolean per modelling path.
+// Serial-vs-parallel byte equality of the forest on the benchmark inputs.
 JsonValue determinism_report(const BenchData& data) {
-  JsonValue report = JsonValue::make_object();
-  bool all_ok = true;
-  auto record = [&](const std::string& name, bool ok) {
-    report.set(name, JsonValue::make_bool(ok));
-    all_ok = all_ok && ok;
-    if (!ok) std::cerr << "DETERMINISM VIOLATION: " << name << "\n";
-  };
-
-  const std::string leaf_serial = tree_string(grow_leafwise(data, 1));
-  const std::string class_serial = tree_string(grow_class(data, 1));
   const std::string forest_serial = forest_string(data, 1);
-  bool leaf_ok = true, class_ok = true, forest_ok = true;
+  bool forest_ok = true;
   for (int n_threads : {2, 4, 8}) {
-    leaf_ok = leaf_ok && tree_string(grow_leafwise(data, n_threads)) == leaf_serial;
-    class_ok = class_ok && tree_string(grow_class(data, n_threads)) == class_serial;
     forest_ok = forest_ok && forest_string(data, n_threads) == forest_serial;
   }
-  record("leafwise_tree_identical", leaf_ok);
-  record("class_tree_identical", class_ok);
-  record("forest_identical", forest_ok);
-  report.set("all_identical", JsonValue::make_bool(all_ok));
+  if (!forest_ok) std::cerr << "DETERMINISM VIOLATION: forest_identical\n";
+  JsonValue report = JsonValue::make_object();
+  report.set("forest_identical", JsonValue::make_bool(forest_ok));
+  report.set("all_identical", JsonValue::make_bool(forest_ok));
   return report;
 }
 
@@ -369,8 +328,17 @@ void check_result_file(const std::string& path) {
     throw std::runtime_error("missing determinism report");
   }
   const JsonValue* sections = root.find("sections");
-  if (sections == nullptr || !sections->is_array() || sections->array.empty()) {
+  if (sections == nullptr || !sections->is_array()) {
     throw std::runtime_error("missing sections array");
+  }
+  std::vector<std::string> names;
+  for (const JsonValue& section : sections->array) {
+    const JsonValue* name = section.find("name");
+    names.push_back(name != nullptr ? name->str : "");
+  }
+  if (names != std::vector<std::string>{"forest_train", "predict"}) {
+    throw std::runtime_error(
+        "sections must be exactly forest_train, predict (trees grow serially)");
   }
   const JsonValue* kernels = root.find("kernels");
   if (kernels == nullptr || kernels->find("best_speedup_vs_scalar") == nullptr ||
@@ -384,6 +352,12 @@ void check_result_file(const std::string& path) {
         "kernels sweep needs the scalar reference plus >= 1 packed kernel");
   }
   for (const JsonValue& entry : kernel_entries->array) {
+    const JsonValue* kernel = entry.find("kernel");
+    if (kernel == nullptr ||
+        (kernel->str != "scalar" && kernel->str != "portable" &&
+         kernel->str != "sse2")) {
+      throw std::runtime_error("kernel entry names no scalar/portable/sse2 kernel");
+    }
     for (const char* key :
          {"grad_full_seconds", "grad_full_rows_per_sec", "grad_subset_seconds",
           "class_full_seconds", "speedup_vs_scalar"}) {
@@ -436,19 +410,6 @@ int run(int argc, char** argv) {
            JsonValue::make_number(std::thread::hardware_concurrency()));
 
   JsonValue sections = JsonValue::make_array();
-  sections.push(bench_section("hist_build", repeats, [&](int n_threads) {
-    HistParallel par{n_threads > 1 ? &shared_pool() : nullptr, n_threads};
-    std::vector<HistEntry> hist;
-    const std::vector<std::size_t> offsets = histogram_offsets(data.mapper);
-    build_gradient_histogram(data.binned, offsets, data.features, data.rows.data(),
-                             data.rows.size(), data.grad, data.hess, hist, par);
-  }));
-  sections.push(bench_section("grow_leafwise", repeats, [&](int n_threads) {
-    grow_leafwise(data, n_threads);
-  }));
-  sections.push(bench_section("class_grow", repeats, [&](int n_threads) {
-    grow_class(data, n_threads);
-  }));
   sections.push(bench_section("forest_train", repeats, [&](int n_threads) {
     forest_string(data, n_threads);
   }));
@@ -488,7 +449,7 @@ int run(int argc, char** argv) {
     const JsonValue* all_ok =
         determinism != nullptr ? determinism->find("all_identical") : nullptr;
     if (all_ok == nullptr || !all_ok->boolean) {
-      std::cerr << "check failed: parallel models diverged from serial\n";
+      std::cerr << "check failed: the parallel forest diverged from serial\n";
       return 1;
     }
     if (!kernels_identical) {

@@ -18,6 +18,12 @@
 # deadline, equal priorities). Evicting it seats job 3; the quantum rotation
 # then resumes job 1 on the freed capacity, so by the time job 2 finishes,
 # job 1 must show exactly one preemption and a second segment.
+#
+# Then one socket-mode serve process gets a `wait` from a client that hangs
+# up before the reply (the job is still running, so the reply is written
+# to a closed peer): that must end only the client's connection — the
+# daemon keeps answering `ping` and exits 0 on `shutdown` (no SIGPIPE).
+# Needs python3 on PATH for the hang-up client.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,7 +34,8 @@ if [ ! -x "$bin" ]; then
 fi
 
 workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
+server=""
+trap '[ -n "$server" ] && kill "$server" 2> /dev/null; rm -rf "$workdir"' EXIT
 
 cat > "$workdir/requests" <<'EOF'
 {"op":"ping"}
@@ -72,4 +79,45 @@ expect 10 '"state":"cancelled"'    "job 1 settles cancelled"
 expect 11 '"best_learner"'         "job 2 serves its result"
 expect 12 '"ok":true'              "shutdown acknowledges"
 
-echo "serve_smoke: OK ($(wc -l < "$workdir/responses") responses, $bin)"
+# --- socket mode: a client that disconnects before its reply ---
+sock="$workdir/serve.sock"
+"$bin" serve --socket="$sock" --slots=1 2> "$workdir/serve.log" &
+server=$!
+for _ in $(seq 100); do
+  [ -S "$sock" ] && break
+  sleep 0.1
+done
+client() { "$bin" "$@" --socket="$sock"; }
+
+client submit --synthetic=400:6:9 --task=binary --budget=600 \
+  --max-iterations=40 --name=slow > "$workdir/submit"
+grep -q '"id":1' "$workdir/submit"
+
+python3 - "$sock" <<'PY'
+import socket, sys
+conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+conn.connect(sys.argv[1])
+conn.sendall(b'{"op":"wait","id":1}\n')
+conn.close()  # hang up while the daemon is still blocked in `wait`
+PY
+
+# The daemon serves one connection at a time, so this ping is answered only
+# after the abandoned `wait` returned and its reply write was attempted.
+if ! client ping > "$workdir/ping" 2>&1 ||
+   ! grep -q '"pong":true' "$workdir/ping"; then
+  echo "serve_smoke: FAIL [daemon survives an early hang-up]" >&2
+  cat "$workdir/ping" "$workdir/serve.log" >&2
+  exit 1
+fi
+client shutdown > /dev/null
+status=0
+wait "$server" || status=$?
+server=""
+if [ "$status" -ne 0 ]; then
+  echo "serve_smoke: FAIL [socket daemon exited $status]" >&2
+  cat "$workdir/serve.log" >&2
+  exit 1
+fi
+
+echo "serve_smoke: OK ($(wc -l < "$workdir/responses") stdio responses" \
+  "+ socket disconnect case, $bin)"

@@ -116,11 +116,11 @@ struct AutoMLOptions {
   // still wall-clock per trial, so total CPU spent is ~n_parallel × budget.
   int n_parallel = 1;
 
-  // Intra-trial worker threads: each model fit parallelizes histogram
-  // build, split finding, bagging and prediction over up to n_threads on
-  // the process-wide shared pool. Orthogonal to n_parallel (which runs
-  // whole trials concurrently); the two compose. Any value produces
-  // bit-identical models and search history.
+  // Intra-trial worker threads on the process-wide shared pool, used for
+  // forest bagging and row-sharded score update/prediction; each tree is
+  // grown serially. Orthogonal to n_parallel (which runs whole trials
+  // concurrently); the two compose. Any value produces bit-identical
+  // models and search history.
   int n_threads = 1;
 
   // Warm-start configurations per learner name: FLOW2 starts its walk from

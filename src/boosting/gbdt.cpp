@@ -218,7 +218,6 @@ GBDTModel train_gbdt(const DataView& train, const DataView* valid,
   gp.colsample_bylevel = params.colsample_bylevel;
   gp.style = params.tree_style;
   gp.oblivious_depth = params.oblivious_depth;
-  gp.n_threads = params.n_threads;
   ThreadPool* score_pool = params.n_threads > 1 ? &shared_pool() : nullptr;
 
   std::vector<int> all_features(dataset.n_cols());

@@ -48,9 +48,9 @@ struct GBDTParams {
   double max_seconds = 0.0;
   bool fail_on_deadline = false;
   std::uint64_t seed = 0;
-  // Intra-trial parallelism (histogram build, split finding, score updates)
-  // on the shared_pool(). Boosting is sequential across trees, so threads
-  // work inside each tree; any value yields the bit-identical model.
+  // Intra-trial parallelism on the shared_pool(): row-sharded score update
+  // and prediction. Boosting is sequential across trees and each tree grows
+  // serially; any value yields the bit-identical model.
   int n_threads = 1;
   // Optional prebuilt fit+encode of exactly the training rows at max_bin
   // (tree/binning.h). Null return or a rows/max_bin mismatch falls back to

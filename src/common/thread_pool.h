@@ -111,8 +111,8 @@ class ThreadPool {
   bool joined_ = false;  // workers joined (shutdown completed)
 };
 
-// Process-wide pool for intra-trial data parallelism (histogram builds,
-// split finding, tree bagging, row-sharded prediction). Lazily constructed
+// Process-wide pool for intra-trial data parallelism (forest bagging and
+// row-sharded score update/prediction). Lazily constructed
 // on first use with max(8, hardware_concurrency) workers so that the
 // deterministic parallel==serial contract can be exercised even on small
 // machines; per-call concurrency is capped by the caller's n_threads via

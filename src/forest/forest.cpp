@@ -286,7 +286,6 @@ ForestModel train_forest(const DataView& train, const ForestParams& params) {
     gp.max_features = params.max_features;
     gp.criterion = params.criterion;
     gp.extra_random = params.extra_trees;
-    gp.n_threads = params.n_threads;
     train_trees([&](int t) {
       if (out_of_time(t)) return;
       Rng& tree_rng = tree_rngs[static_cast<std::size_t>(t)];
@@ -313,7 +312,6 @@ ForestModel train_forest(const DataView& train, const ForestParams& params) {
     gp.reg_lambda = 1e-9;
     gp.reg_alpha = 0.0;
     gp.colsample_bylevel = params.max_features;
-    gp.n_threads = params.n_threads;
     std::vector<int> features(dataset.n_cols());
     std::iota(features.begin(), features.end(), 0);
     train_trees([&](int t) {

@@ -47,9 +47,9 @@ struct TrainContext {
   // final retrains).
   bool fail_on_deadline = false;
   std::uint64_t seed = 0;
-  // Intra-trial worker threads for learners that support them (tree
-  // learners parallelize histogram build / split finding / prediction).
-  // Any value must produce the bit-identical model; 1 = serial.
+  // Intra-trial worker threads for learners that support them: forest
+  // bagging and row-sharded score update/prediction (trees themselves grow
+  // serially). Any value must produce the bit-identical model; 1 = serial.
   int n_threads = 1;
   // Optional cross-trial binned-substrate provider (tree/binning.h). When
   // set, histogram trainers ask it for a prebuilt fit+encode of exactly

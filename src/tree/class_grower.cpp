@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "tree/histogram.h"
 
 namespace flaml {
@@ -65,7 +64,6 @@ class ClassGrowContext {
         weights_(weights),
         params_(params),
         rng_(rng),
-        pool_(params.n_threads > 1 ? &shared_pool() : nullptr),
         buffer_(rows),
         offsets_(histogram_offsets(mapper)) {
     all_features_.resize(mapper.n_features());
@@ -175,19 +173,16 @@ class ClassGrowContext {
     return weights_.empty() ? 1.0 : weights_[pos];
   }
 
-  HistParallel par() const { return HistParallel{pool_, params_.n_threads}; }
-
   // Remove a child's rows from an inherited parent histogram (in place).
   void remove_rows_from_hist(const ClassLeaf& child, std::vector<double>& hist) const {
     if (packed_ != nullptr) {
       remove_rows_from_class_histogram_packed(
           *packed_, offsets_, k_, buffer_.data() + child.begin, child.count,
-          labels_, weights_, hist, kernel_, par());
+          labels_, weights_, hist, kernel_);
     } else {
       remove_rows_from_class_histogram(binned_, offsets_, k_,
                                        buffer_.data() + child.begin,
-                                       child.count, labels_, weights_, hist,
-                                       par());
+                                       child.count, labels_, weights_, hist);
     }
   }
 
@@ -203,11 +198,10 @@ class ClassGrowContext {
     if (packed_ != nullptr) {
       build_class_histogram_packed(*packed_, offsets_, k_,
                                    buffer_.data() + leaf.begin, leaf.count,
-                                   labels_, weights_, leaf.hist, kernel_,
-                                   par());
+                                   labels_, weights_, leaf.hist, kernel_);
     } else {
       build_class_histogram(binned_, offsets_, k_, buffer_.data() + leaf.begin,
-                            leaf.count, labels_, weights_, leaf.hist, par());
+                            leaf.count, labels_, weights_, leaf.hist);
     }
   }
 
@@ -225,26 +219,16 @@ class ClassGrowContext {
     return sampled;
   }
 
-  // Per-evaluation scratch. The serial path reuses one instance across
-  // features; each parallel shard owns its own so evaluations never share
-  // mutable state.
-  struct SplitScratch {
-    std::vector<double> left_counts;
-    std::vector<double> right_counts;
-    std::vector<double> compact_counts;  // gathered [bin*k+class] for small leaves
-  };
-
-  // Best split of a single feature. `random_bin` carries the pre-drawn
-  // extra-trees threshold (-1 = feature skipped / not extra-random), so the
-  // evaluation itself is pure and can run on any thread.
+  // Best split of a single feature. `random_bin` carries the extra-trees
+  // threshold (-1 = feature skipped / not extra-random).
   ClassSplit eval_feature_split(const ClassLeaf& leaf, int f, int random_bin,
-                                double parent_imp, SplitScratch& scratch) const {
+                                double parent_imp) {
     ClassSplit best;
     const std::size_t k = static_cast<std::size_t>(k_);
-    scratch.left_counts.assign(k, 0.0);
-    scratch.right_counts.assign(k, 0.0);
-    std::vector<double>& left_counts = scratch.left_counts;
-    std::vector<double>& right_counts = scratch.right_counts;
+    left_counts_.assign(k, 0.0);
+    right_counts_.assign(k, 0.0);
+    std::vector<double>& left_counts = left_counts_;
+    std::vector<double>& right_counts = right_counts_;
 
     auto consider = [&](int bin, bool categorical, bool missing_left,
                         bool missing_only) {
@@ -269,14 +253,14 @@ class ClassGrowContext {
         fill_feature_class_counts_packed(*packed_, f, fb.n_bins(), k_,
                                          buffer_.data() + leaf.begin,
                                          leaf.count, labels_, weights_,
-                                         scratch.compact_counts, kernel_);
+                                         compact_counts_, kernel_);
       } else {
         fill_feature_class_counts(binned_.feature(static_cast<std::size_t>(f)),
                                   fb.n_bins(), k_, buffer_.data() + leaf.begin,
                                   leaf.count, labels_, weights_,
-                                  scratch.compact_counts);
+                                  compact_counts_);
       }
-      hist = scratch.compact_counts.data();
+      hist = compact_counts_.data();
     } else {
       hist = leaf.hist.data() + offsets_[static_cast<std::size_t>(f)] * k;
     }
@@ -356,48 +340,19 @@ class ClassGrowContext {
         weighted_impurity(leaf.class_counts, parent_total, params_.criterion);
     if (parent_imp <= params_.min_gain) return best;  // pure leaf
 
-    const std::vector<int> feats = sampled_features();
-    // Extra-trees thresholds come from the shared rng, so they are drawn
-    // here, serially and in feature order, before any fan-out: the rng
-    // stream is then identical no matter how evaluation is scheduled.
-    std::vector<int> random_bins;
-    if (params_.extra_random) {
-      random_bins.assign(feats.size(), -1);
-      for (std::size_t i = 0; i < feats.size(); ++i) {
-        const FeatureBins& fb = mapper_.feature(static_cast<std::size_t>(feats[i]));
-        if (fb.type != ColumnType::Categorical && fb.n_value_bins >= 2) {
-          random_bins[i] = static_cast<int>(rng_.uniform_index(
-              static_cast<std::uint64_t>(fb.n_value_bins - 1)));
-        }
+    // Extra-trees thresholds come from the shared rng, drawn in feature
+    // order (evaluation itself draws nothing). Strict `>` keeps the
+    // lowest-feature-index winner on ties.
+    for (int f : sampled_features()) {
+      int random_bin = -1;
+      const FeatureBins& fb = mapper_.feature(static_cast<std::size_t>(f));
+      if (params_.extra_random && fb.type != ColumnType::Categorical &&
+          fb.n_value_bins >= 2) {
+        random_bin = static_cast<int>(
+            rng_.uniform_index(static_cast<std::uint64_t>(fb.n_value_bins - 1)));
       }
-    }
-    auto random_bin_at = [&](std::size_t i) {
-      return random_bins.empty() ? -1 : random_bins[i];
-    };
-
-    // Parallel only for leaves with a retained histogram: compact-scan
-    // leaves are by definition small, and the gather would dominate.
-    if (pool_ != nullptr && !leaf.hist.empty() && feats.size() >= 2) {
-      std::vector<ClassSplit> per_feature(feats.size());
-      sharded_for(pool_, params_.n_threads, feats.size(),
-                  [&](std::size_t begin, std::size_t end) {
-                    SplitScratch scratch;
-                    for (std::size_t i = begin; i < end; ++i) {
-                      per_feature[i] = eval_feature_split(
-                          leaf, feats[i], random_bin_at(i), parent_imp, scratch);
-                    }
-                  });
-      // Fixed-order reduction with strict `>`: keeps the lowest-feature-index
-      // winner on ties, exactly like the serial accumulating scan.
-      for (const ClassSplit& cand : per_feature) {
-        if (cand.valid() && cand.gain > best.gain) best = cand;
-      }
-    } else {
-      for (std::size_t i = 0; i < feats.size(); ++i) {
-        ClassSplit cand = eval_feature_split(leaf, feats[i], random_bin_at(i),
-                                             parent_imp, split_scratch_);
-        if (cand.valid() && cand.gain > best.gain) best = cand;
-      }
+      ClassSplit cand = eval_feature_split(leaf, f, random_bin, parent_imp);
+      if (cand.valid() && cand.gain > best.gain) best = cand;
     }
     return best;
   }
@@ -456,12 +411,14 @@ class ClassGrowContext {
   const std::vector<double>& weights_;
   const ClassGrowerParams& params_;
   Rng& rng_;
-  ThreadPool* pool_;  // null = serial growth
   std::vector<std::uint32_t> buffer_;
   std::vector<std::uint32_t> scratch_;
   std::vector<std::size_t> offsets_;
   std::vector<int> all_features_;
-  SplitScratch split_scratch_;  // serial-path evaluation scratch
+  // eval_feature_split scratch, reused across features.
+  std::vector<double> left_counts_;
+  std::vector<double> right_counts_;
+  std::vector<double> compact_counts_;  // gathered [bin*k+class] for small leaves
 };
 
 }  // namespace

@@ -31,10 +31,6 @@ struct ClassGrowerParams {
   SplitCriterion criterion = SplitCriterion::Gini;
   // Extra-trees randomization: a single random cut per candidate feature.
   bool extra_random = false;
-  // Intra-tree parallelism over feature blocks on the shared_pool(). Any
-  // value produces the bit-identical tree (fixed-order reduction; random
-  // thresholds are pre-drawn in feature order).
-  int n_threads = 1;
 };
 
 class ClassTreeGrower {

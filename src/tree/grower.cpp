@@ -5,17 +5,11 @@
 #include <limits>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "tree/histogram.h"
 
 namespace flaml {
 
 namespace {
-
-// Split searches on leaves below this row count run serially: their scan
-// cost is dwarfed by the parallel_for handoff. Depends only on the leaf, so
-// serial and parallel runs agree on the path taken.
-constexpr std::size_t kMinRowsForParallelFind = 256;
 
 double thresholded(double g, double alpha) {
   if (g > alpha) return g - alpha;
@@ -74,24 +68,20 @@ class GrowContext {
         features_(features),
         params_(params),
         rng_(rng),
-        pool_(params.n_threads > 1 ? &shared_pool() : nullptr),
         buffer_(rows),
         offsets_(histogram_offsets(mapper)) {}
 
   std::size_t hist_size() const { return offsets_.back(); }
 
-  HistParallel par() const { return {pool_, params_.n_threads}; }
-
   void build_hist(const LeafState& leaf, std::vector<HistEntry>& hist) const {
     if (packed_ != nullptr) {
       build_gradient_histogram_packed(*packed_, offsets_, features_,
                                       buffer_.data() + leaf.begin, leaf.count,
-                                      grad_, hess_, unit_hess_, hist, kernel_,
-                                      par());
+                                      grad_, hess_, unit_hess_, hist, kernel_);
     } else {
       build_gradient_histogram(binned_, offsets_, features_,
                                buffer_.data() + leaf.begin, leaf.count, grad_,
-                               hess_, hist, par());
+                               hess_, hist);
     }
   }
 
@@ -174,26 +164,10 @@ class GrowContext {
   }
 
   SplitInfo find_best_split(const LeafState& leaf, const std::vector<int>& feats) const {
+    // Strict `>` keeps the first (lowest feature index, lowest bin)
+    // candidate on ties.
     SplitInfo best;
-    if (pool_ != nullptr && feats.size() >= 2 && leaf.count >= kMinRowsForParallelFind) {
-      // Feature-block parallel: evaluate every feature independently, then
-      // reduce in feature order. Strict `>` in both the per-feature scan and
-      // the reduction keeps the first (lowest feature index, lowest bin)
-      // candidate on ties — exactly what the serial accumulating scan keeps
-      // — so the result is independent of thread count.
-      std::vector<SplitInfo> per_feature(feats.size());
-      sharded_for(pool_, params_.n_threads, feats.size(),
-                  [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      best_feature_split(leaf, feats[i], per_feature[i]);
-                    }
-                  });
-      for (const SplitInfo& cand : per_feature) {
-        if (cand.gain > best.gain) best = cand;
-      }
-    } else {
-      for (int f : feats) best_feature_split(leaf, f, best);
-    }
+    for (int f : feats) best_feature_split(leaf, f, best);
     if (best.gain < params_.min_gain) best = SplitInfo{};
     return best;
   }
@@ -362,20 +336,11 @@ class GrowContext {
 
     for (int d = 0; d < params_.oblivious_depth; ++d) {
       // One shared split for the whole level: maximize the summed gain.
-      std::vector<int> feats = level_features();
-      // Each feature's best level-summed candidate, evaluated independently
-      // (bin ascending, strict `>`), then reduced in feature order below —
-      // the parallel run picks the same earliest maximum as the serial scan.
-      struct SharedCand {
-        double total = 0.0;
-        int bin = -1;
-        bool categorical = false;
-      };
-      std::vector<SharedCand> cands(feats.size());
-      auto eval_feature = [&](std::size_t fi) {
-        const int f = feats[fi];
-        SharedCand& cand = cands[fi];
-        cand.total = params_.min_gain;
+      // Candidates are scanned feature by feature, bin ascending, with a
+      // strict `>`, so ties keep the earliest (feature, bin).
+      SplitInfo best_shared;
+      double best_total = params_.min_gain;
+      for (int f : level_features()) {
         // Evaluate every bin candidate's total (level-summed) gain.
         // Per-leaf prefix sums over bins make this O(leaves × bins) per
         // feature instead of O(leaves × bins²).
@@ -383,8 +348,8 @@ class GrowContext {
         const bool categorical = fb.type == ColumnType::Categorical;
         const int n_candidates =
             categorical ? fb.n_value_bins : fb.n_value_bins - 1;
-        if (n_candidates <= 0) return;
-        std::vector<double> total_gain(static_cast<std::size_t>(n_candidates), 0.0);
+        if (n_candidates <= 0) continue;
+        level_gain_.assign(static_cast<std::size_t>(n_candidates), 0.0);
         for (const auto& leaf : level) {
           if (leaf.count == 0) continue;
           const HistEntry* hist =
@@ -410,30 +375,16 @@ class GrowContext {
             }
             double gain = leaf_score(gl, hl, params_) +
                           leaf_score(gr, hr, params_) - parent_score;
-            if (gain > 0.0) total_gain[static_cast<std::size_t>(b)] += gain;
+            if (gain > 0.0) level_gain_[static_cast<std::size_t>(b)] += gain;
           }
         }
         for (int b = 0; b < n_candidates; ++b) {
-          if (total_gain[static_cast<std::size_t>(b)] > cand.total) {
-            cand.total = total_gain[static_cast<std::size_t>(b)];
-            cand.bin = b;
-            cand.categorical = categorical;
+          if (level_gain_[static_cast<std::size_t>(b)] > best_total) {
+            best_total = level_gain_[static_cast<std::size_t>(b)];
+            best_shared.feature = f;
+            best_shared.bin = b;
+            best_shared.categorical = categorical;
           }
-        }
-      };
-      ThreadPool* pool = feats.size() >= 2 ? pool_ : nullptr;
-      sharded_for(pool, params_.n_threads, feats.size(),
-                  [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t fi = begin; fi < end; ++fi) eval_feature(fi);
-                  });
-      SplitInfo best_shared;
-      double best_total = params_.min_gain;
-      for (std::size_t fi = 0; fi < feats.size(); ++fi) {
-        if (cands[fi].bin >= 0 && cands[fi].total > best_total) {
-          best_total = cands[fi].total;
-          best_shared.feature = feats[fi];
-          best_shared.bin = cands[fi].bin;
-          best_shared.categorical = cands[fi].categorical;
         }
       }
       if (!best_shared.valid()) break;
@@ -492,10 +443,10 @@ class GrowContext {
   const std::vector<int>& features_;
   const GrowerParams& params_;
   Rng& rng_;
-  ThreadPool* pool_;  // null = serial growth
   std::vector<std::uint32_t> buffer_;
   std::vector<std::uint32_t> scratch_;
   std::vector<std::size_t> offsets_;
+  std::vector<double> level_gain_;  // oblivious scan: per-bin level total
 
  public:
   Tree run() {

@@ -37,11 +37,6 @@ struct GrowerParams {
   double colsample_bylevel = 1.0;
   TreeStyle style = TreeStyle::LeafWise;
   int oblivious_depth = 6;
-  // Intra-tree parallelism over feature blocks (histogram build + split
-  // finding) on the shared_pool(). Any value produces the bit-identical
-  // tree: per-feature work is independent and the reduction runs in fixed
-  // feature order with ties broken by the lowest feature index.
-  int n_threads = 1;
 };
 
 class GradientTreeGrower {

@@ -1,15 +1,15 @@
-// Internal entry points of the per-ISA histogram kernels (implementation
+// Internal entry points of the packed histogram kernels (implementation
 // detail of histogram.cpp — include from .cpp files only).
 //
-// Each ISA exports one KernelFns table over the PackedBins row-major code
-// planes (u8/u16). Every table runs the SAME algorithm in the SAME order:
-// feature tiles of kFeatureTile, rows accumulated in buffer order, (g, h)
-// added as one paired two-lane add. A paired `_mm_add_pd` performs the same
-// two independent IEEE-754 additions as the two scalar `+=`s — there are no
-// multiplies anywhere, so no FMA contraction can change results — which
-// makes every table bit-identical to the portable one AND to the legacy
-// scalar column build. That invariant is what lets the fast path default on
-// under the existing golden digests; the differential harness
+// Each table (portable, SSE2) runs the SAME algorithm over the PackedBins
+// row-major code planes (u8/u16) in the SAME order: feature tiles of
+// kFeatureTile, rows accumulated in buffer order, (g, h) added as one paired
+// two-lane add. A paired `_mm_add_pd` performs the same two independent
+// IEEE-754 additions as the two scalar `+=`s — there are no multiplies
+// anywhere, so no FMA contraction can change results — which makes both
+// tables bit-identical to each other AND to the legacy scalar column build.
+// That invariant is what lets the fast path default on under the existing
+// golden digests; the differential harness
 // (tests/test_histogram_kernels.cpp) pins it with a 0-ulp bound.
 #pragma once
 
@@ -38,12 +38,10 @@ struct GradCall {
   HistEntry* hist = nullptr;
 };
 
-// Weighted class-count build/remove over the contiguous feature range
-// [f_begin, f_end) — class trees always histogram every feature.
+// Weighted class-count build/remove over every feature — class trees always
+// histogram all of them.
 struct ClassCall {
   const std::size_t* offsets = nullptr;
-  std::size_t f_begin = 0;
-  std::size_t f_end = 0;
   std::size_t k = 0;  // n_classes
   const std::uint32_t* rows = nullptr;
   std::size_t count = 0;
@@ -84,11 +82,8 @@ struct KernelFns {
 
 // Always present (plain C++, no intrinsics).
 const KernelFns* portable_fns();
-// Null when the build targets a non-x86 ISA without SSE2.
+// Null when the compiler does not target SSE2 (it always does on x86-64).
 const KernelFns* sse2_fns();
-// Null when the compiler can't target AVX2 (CMake check); runtime CPU
-// support is the caller's problem (hist_kernel_available in histogram.cpp).
-const KernelFns* avx2_fns();
 
 }  // namespace histdetail
 }  // namespace flaml

@@ -12,27 +12,12 @@ namespace flaml {
 
 namespace {
 
-// Below this row count a parallel build costs more in task handoff than the
-// scan itself; the cutoff depends only on the data, so serial and parallel
-// callers take the same path for the same leaf.
-constexpr std::size_t kMinRowsForParallelBuild = 512;
-
-bool cpu_has_avx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
 const histdetail::KernelFns* fns_for(HistKernel k) {
   switch (k) {
     case HistKernel::Portable:
       return histdetail::portable_fns();
     case HistKernel::Sse2:
       return histdetail::sse2_fns();
-    case HistKernel::Avx2:
-      return histdetail::avx2_fns();
     case HistKernel::Scalar:
       break;
   }
@@ -59,8 +44,6 @@ const char* hist_kernel_name(HistKernel k) {
       return "portable";
     case HistKernel::Sse2:
       return "sse2";
-    case HistKernel::Avx2:
-      return "avx2";
   }
   return "unknown";
 }
@@ -72,14 +55,11 @@ bool hist_kernel_available(HistKernel k) {
       return true;
     case HistKernel::Sse2:
       return histdetail::sse2_fns() != nullptr;
-    case HistKernel::Avx2:
-      return histdetail::avx2_fns() != nullptr && cpu_has_avx2();
   }
   return false;
 }
 
 HistKernel best_hist_kernel() {
-  if (hist_kernel_available(HistKernel::Avx2)) return HistKernel::Avx2;
   if (hist_kernel_available(HistKernel::Sse2)) return HistKernel::Sse2;
   return HistKernel::Portable;
 }
@@ -97,12 +77,10 @@ HistKernel active_hist_kernel() {
     forced = HistKernel::Portable;
   } else if (std::strcmp(env, "sse2") == 0) {
     forced = HistKernel::Sse2;
-  } else if (std::strcmp(env, "avx2") == 0) {
-    forced = HistKernel::Avx2;
   } else {
     FLAML_REQUIRE(false, "FLAML_HISTOGRAM_KERNEL='"
                              << env
-                             << "' (want auto|simd|scalar|portable|sse2|avx2)");
+                             << "' (want auto|simd|scalar|portable|sse2)");
     return HistKernel::Scalar;  // unreachable
   }
   FLAML_REQUIRE(hist_kernel_available(forced),
@@ -129,10 +107,9 @@ void build_gradient_histogram(const BinnedMatrix& binned,
                               const std::uint32_t* rows, std::size_t count,
                               const std::vector<double>& grad,
                               const std::vector<double>& hess,
-                              std::vector<HistEntry>& hist,
-                              const HistParallel& par) {
+                              std::vector<HistEntry>& hist) {
   hist.assign(offsets.back(), HistEntry{});
-  auto fill_feature = [&](int f) {
+  for (int f : features) {
     const auto& col = binned.feature(static_cast<std::size_t>(f));
     HistEntry* base = hist.data() + offsets[static_cast<std::size_t>(f)];
     for (std::size_t i = 0; i < count; ++i) {
@@ -142,13 +119,7 @@ void build_gradient_histogram(const BinnedMatrix& binned,
       e.h += hess[pos];
       e.n += 1;
     }
-  };
-  ThreadPool* pool =
-      count >= kMinRowsForParallelBuild && features.size() >= 2 ? par.pool : nullptr;
-  sharded_for(pool, par.n_threads, features.size(),
-              [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) fill_feature(features[i]);
-              });
+  }
 }
 
 void build_gradient_histogram_packed(
@@ -156,7 +127,7 @@ void build_gradient_histogram_packed(
     const std::vector<int>& features, const std::uint32_t* rows,
     std::size_t count, const std::vector<double>& grad,
     const std::vector<double>& hess, bool unit_hess,
-    std::vector<HistEntry>& hist, HistKernel kernel, const HistParallel& par) {
+    std::vector<HistEntry>& hist, HistKernel kernel) {
   const histdetail::KernelFns* fns = fns_for(kernel);
   FLAML_REQUIRE(fns != nullptr, "'" << hist_kernel_name(kernel)
                                     << "' is not a packed histogram kernel");
@@ -164,6 +135,8 @@ void build_gradient_histogram_packed(
   if (count == 0 || features.empty()) return;
   histdetail::GradCall call;
   call.offsets = offsets.data();
+  call.features = features.data();
+  call.n_sel = features.size();
   call.rows = rows;
   call.count = count;
   call.grad = grad.data();
@@ -171,20 +144,11 @@ void build_gradient_histogram_packed(
   call.unit = unit_hess;
   call.iota = rows_are_iota(rows, count);
   call.hist = hist.data();
-  const std::size_t stride = packed.n_features();
-  ThreadPool* pool =
-      count >= kMinRowsForParallelBuild && features.size() >= 2 ? par.pool : nullptr;
-  sharded_for(pool, par.n_threads, features.size(),
-              [&](std::size_t begin, std::size_t end) {
-                histdetail::GradCall c = call;
-                c.features = features.data() + begin;
-                c.n_sel = end - begin;
-                if (packed.wide()) {
-                  fns->grad_u16(packed.codes16(), stride, c);
-                } else {
-                  fns->grad_u8(packed.codes8(), stride, c);
-                }
-              });
+  if (packed.wide()) {
+    fns->grad_u16(packed.codes16(), packed.n_features(), call);
+  } else {
+    fns->grad_u8(packed.codes8(), packed.n_features(), call);
+  }
 }
 
 void subtract_gradient_histogram(const std::vector<HistEntry>& parent,
@@ -212,10 +176,10 @@ void build_class_histogram(const BinnedMatrix& binned,
                            int n_classes, const std::uint32_t* rows,
                            std::size_t count, const std::vector<int>& labels,
                            const std::vector<double>& weights,
-                           std::vector<double>& hist, const HistParallel& par) {
+                           std::vector<double>& hist) {
   const std::size_t k = static_cast<std::size_t>(n_classes);
   hist.assign(offsets.back() * k, 0.0);
-  auto fill_feature = [&](std::size_t f) {
+  for (std::size_t f = 0; f < binned.n_features(); ++f) {
     const auto& col = binned.feature(f);
     double* base = hist.data() + offsets[f] * k;
     for (std::size_t i = 0; i < count; ++i) {
@@ -224,14 +188,7 @@ void build_class_histogram(const BinnedMatrix& binned,
            static_cast<std::size_t>(labels[pos])] +=
           weights.empty() ? 1.0 : weights[pos];
     }
-  };
-  const std::size_t n_features = binned.n_features();
-  ThreadPool* pool =
-      count >= kMinRowsForParallelBuild && n_features >= 2 ? par.pool : nullptr;
-  sharded_for(pool, par.n_threads, n_features,
-              [&](std::size_t begin, std::size_t end) {
-                for (std::size_t f = begin; f < end; ++f) fill_feature(f);
-              });
+  }
 }
 
 namespace {
@@ -243,8 +200,7 @@ void run_class_kernel_packed(const PackedBins& packed,
                              int n_classes, const std::uint32_t* rows,
                              std::size_t count, const std::vector<int>& labels,
                              const std::vector<double>& weights, bool negate,
-                             std::vector<double>& hist, HistKernel kernel,
-                             const HistParallel& par) {
+                             std::vector<double>& hist, HistKernel kernel) {
   const histdetail::KernelFns* fns = fns_for(kernel);
   FLAML_REQUIRE(fns != nullptr, "'" << hist_kernel_name(kernel)
                                     << "' is not a packed histogram kernel");
@@ -259,20 +215,11 @@ void run_class_kernel_packed(const PackedBins& packed,
   call.negate = negate;
   call.iota = rows_are_iota(rows, count);
   call.hist = hist.data();
-  const std::size_t n_features = packed.n_features();
-  ThreadPool* pool =
-      count >= kMinRowsForParallelBuild && n_features >= 2 ? par.pool : nullptr;
-  sharded_for(pool, par.n_threads, n_features,
-              [&](std::size_t begin, std::size_t end) {
-                histdetail::ClassCall c = call;
-                c.f_begin = begin;
-                c.f_end = end;
-                if (packed.wide()) {
-                  fns->cls_u16(packed.codes16(), n_features, c);
-                } else {
-                  fns->cls_u8(packed.codes8(), n_features, c);
-                }
-              });
+  if (packed.wide()) {
+    fns->cls_u16(packed.codes16(), packed.n_features(), call);
+  } else {
+    fns->cls_u8(packed.codes8(), packed.n_features(), call);
+  }
 }
 
 }  // namespace
@@ -283,20 +230,19 @@ void build_class_histogram_packed(const PackedBins& packed,
                                   std::size_t count,
                                   const std::vector<int>& labels,
                                   const std::vector<double>& weights,
-                                  std::vector<double>& hist, HistKernel kernel,
-                                  const HistParallel& par) {
+                                  std::vector<double>& hist, HistKernel kernel) {
   hist.assign(offsets.back() * static_cast<std::size_t>(n_classes), 0.0);
   run_class_kernel_packed(packed, offsets, n_classes, rows, count, labels,
-                          weights, /*negate=*/false, hist, kernel, par);
+                          weights, /*negate=*/false, hist, kernel);
 }
 
 void remove_rows_from_class_histogram_packed(
     const PackedBins& packed, const std::vector<std::size_t>& offsets,
     int n_classes, const std::uint32_t* rows, std::size_t count,
     const std::vector<int>& labels, const std::vector<double>& weights,
-    std::vector<double>& hist, HistKernel kernel, const HistParallel& par) {
+    std::vector<double>& hist, HistKernel kernel) {
   run_class_kernel_packed(packed, offsets, n_classes, rows, count, labels,
-                          weights, /*negate=*/true, hist, kernel, par);
+                          weights, /*negate=*/true, hist, kernel);
 }
 
 void remove_rows_from_class_histogram(const BinnedMatrix& binned,
@@ -305,10 +251,9 @@ void remove_rows_from_class_histogram(const BinnedMatrix& binned,
                                       std::size_t count,
                                       const std::vector<int>& labels,
                                       const std::vector<double>& weights,
-                                      std::vector<double>& hist,
-                                      const HistParallel& par) {
+                                      std::vector<double>& hist) {
   const std::size_t k = static_cast<std::size_t>(n_classes);
-  auto drain_feature = [&](std::size_t f) {
+  for (std::size_t f = 0; f < binned.n_features(); ++f) {
     const auto& col = binned.feature(f);
     double* base = hist.data() + offsets[f] * k;
     for (std::size_t i = 0; i < count; ++i) {
@@ -317,14 +262,7 @@ void remove_rows_from_class_histogram(const BinnedMatrix& binned,
            static_cast<std::size_t>(labels[pos])] -=
           weights.empty() ? 1.0 : weights[pos];
     }
-  };
-  const std::size_t n_features = binned.n_features();
-  ThreadPool* pool =
-      count >= kMinRowsForParallelBuild && n_features >= 2 ? par.pool : nullptr;
-  sharded_for(pool, par.n_threads, n_features,
-              [&](std::size_t begin, std::size_t end) {
-                for (std::size_t f = begin; f < end; ++f) drain_feature(f);
-              });
+  }
 }
 
 void fill_feature_class_counts(const std::vector<std::uint16_t>& col,

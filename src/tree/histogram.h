@@ -1,25 +1,21 @@
 // Histogram construction for the tree growers, extracted so that the two
 // layouts — the gradient-pair layout of grower.cpp and the per-class slice
 // layout of class_grower.cpp — share one implementation and can be tested
-// (and parallelized) in isolation.
+// in isolation.
 //
 // Layouts, with offsets[f] = first bin slot of feature f:
 //   * gradient: hist[offsets[f] + bin] is a (g, h, n) triple;
 //   * class:    hist[(offsets[f] + bin) * k + c] is the weighted count of
 //               class c in bin `bin` of feature f.
 //
-// Parallelism contract: builds shard over FEATURES, never rows. Each
-// feature's slice [offsets[f], offsets[f+1]) is a disjoint memory region,
-// and within a feature the rows are always accumulated in buffer order on a
-// single thread — so the parallel build is race-free and bit-identical to
-// the serial build for every thread count. Subtraction is element-wise and
-// deterministic by construction.
+// Every build runs on the calling thread and accumulates each feature's
+// rows in buffer order, so results are deterministic. Subtraction is
+// element-wise and deterministic by construction.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "tree/binning.h"
 #include "tree/packed_bins.h"
 
@@ -36,23 +32,21 @@ struct HistEntry {
 //                layout); the escape hatch that preserves the pre-kernel
 //                code path byte for byte.
 //   * Portable — packed row-major tiles, plain C++ accumulators.
-//   * Sse2     — packed tiles with a paired 128-bit (g, h) add.
-//   * Avx2     — same algorithm compiled for AVX2 (VEX + wider auxiliary
-//                passes; the scatter core stays the paired add).
-// All four produce bit-identical histograms: Portable/Sse2/Avx2 run the
-// same adds in the same order as Scalar (see hist_kernels.h), which is why
-// the fast path can default on under the existing golden digests.
-enum class HistKernel { Scalar, Portable, Sse2, Avx2 };
+//   * Sse2     — packed tiles with a paired 128-bit (g, h) add; compiled
+//                wherever the compiler targets SSE2 (baseline on x86-64).
+// All three produce bit-identical histograms: Portable/Sse2 run the same
+// adds in the same order as Scalar (see hist_kernels.h), which is why the
+// fast path can default on under the existing golden digests.
+enum class HistKernel { Scalar, Portable, Sse2 };
 
 const char* hist_kernel_name(HistKernel k);
-// Compile-time AND runtime support (e.g. Avx2 needs both the -mavx2 build
-// and cpuid).
+// Compiled into this build (Sse2 needs an SSE2 target).
 bool hist_kernel_available(HistKernel k);
-// Fastest available: Avx2 > Sse2 > Portable.
+// Fastest available: Sse2 > Portable.
 HistKernel best_hist_kernel();
 // Resolve FLAML_HISTOGRAM_KERNEL: unset/"auto"/"simd" -> best available;
-// "scalar"/"portable"/"sse2"/"avx2" force one (FLAML_REQUIRE on an unknown
-// value or an unavailable forced kernel). Re-reads the environment on every
+// "scalar"/"portable"/"sse2" force one (FLAML_REQUIRE on an unknown value
+// or an unavailable forced kernel). Re-reads the environment on every
 // call — growers resolve once per tree, not per leaf.
 HistKernel active_hist_kernel();
 // False only when the active kernel is Scalar: substrates skip building the
@@ -63,12 +57,6 @@ bool packed_bins_enabled();
 // offsets.back() is the total bin count.
 std::vector<std::size_t> histogram_offsets(const BinMapper& mapper);
 
-// Intra-build parallelism: a null pool (or n_threads <= 1) means serial.
-struct HistParallel {
-  ThreadPool* pool = nullptr;
-  int n_threads = 1;
-};
-
 // Accumulate (grad, hess, count) per bin for `features` over the rows
 // rows[0..count). hist is resized and zeroed. grad/hess are indexed by row
 // position (the values stored in `rows`), not by rows' index.
@@ -78,8 +66,7 @@ void build_gradient_histogram(const BinnedMatrix& binned,
                               const std::uint32_t* rows, std::size_t count,
                               const std::vector<double>& grad,
                               const std::vector<double>& hess,
-                              std::vector<HistEntry>& hist,
-                              const HistParallel& par = {});
+                              std::vector<HistEntry>& hist);
 
 // Packed fast path of build_gradient_histogram: identical signature
 // semantics over the row-major PackedBins layout. `unit_hess` asserts that
@@ -87,14 +74,13 @@ void build_gradient_histogram(const BinnedMatrix& binned,
 // tree); the kernel then drops the per-row count update and derives n from
 // the h sums — exact, since they are integer-valued doubles. `kernel` must
 // be a packed kernel (not Scalar) and available. Bit-identical to the
-// scalar build at every thread count.
+// scalar build.
 void build_gradient_histogram_packed(
     const PackedBins& packed, const std::vector<std::size_t>& offsets,
     const std::vector<int>& features, const std::uint32_t* rows,
     std::size_t count, const std::vector<double>& grad,
     const std::vector<double>& hess, bool unit_hess,
-    std::vector<HistEntry>& hist, HistKernel kernel,
-    const HistParallel& par = {});
+    std::vector<HistEntry>& hist, HistKernel kernel);
 
 // out = parent - child, element-wise.
 void subtract_gradient_histogram(const std::vector<HistEntry>& parent,
@@ -113,19 +99,17 @@ void build_class_histogram(const BinnedMatrix& binned,
                            int n_classes, const std::uint32_t* rows,
                            std::size_t count, const std::vector<int>& labels,
                            const std::vector<double>& weights,
-                           std::vector<double>& hist,
-                           const HistParallel& par = {});
+                           std::vector<double>& hist);
 
 // Packed fast path of build_class_histogram (all mapper features, like the
-// scalar build). Bit-identical to the scalar build at every thread count.
+// scalar build). Bit-identical to the scalar build.
 void build_class_histogram_packed(const PackedBins& packed,
                                   const std::vector<std::size_t>& offsets,
                                   int n_classes, const std::uint32_t* rows,
                                   std::size_t count,
                                   const std::vector<int>& labels,
                                   const std::vector<double>& weights,
-                                  std::vector<double>& hist, HistKernel kernel,
-                                  const HistParallel& par = {});
+                                  std::vector<double>& hist, HistKernel kernel);
 
 // Remove the rows' mass from an inherited parent histogram in place — the
 // class-layout analogue of subtract: afterwards hist equals a direct build
@@ -136,8 +120,7 @@ void remove_rows_from_class_histogram(const BinnedMatrix& binned,
                                       std::size_t count,
                                       const std::vector<int>& labels,
                                       const std::vector<double>& weights,
-                                      std::vector<double>& hist,
-                                      const HistParallel& par = {});
+                                      std::vector<double>& hist);
 
 // Packed fast path of remove_rows_from_class_histogram. Accumulates -w,
 // which IEEE-754 guarantees equals the legacy `-=` bit for bit.
@@ -145,7 +128,7 @@ void remove_rows_from_class_histogram_packed(
     const PackedBins& packed, const std::vector<std::size_t>& offsets,
     int n_classes, const std::uint32_t* rows, std::size_t count,
     const std::vector<int>& labels, const std::vector<double>& weights,
-    std::vector<double>& hist, HistKernel kernel, const HistParallel& par = {});
+    std::vector<double>& hist, HistKernel kernel);
 
 // One feature's slice in compact scratch layout [bin * k + c]: the
 // small-leaf path that retains no histogram rebuilds exactly this on

@@ -1,26 +1,23 @@
 // Histogram-kernel concurrency stress (run under TSan via the `stress`
 // label): the packed substrate is immutable and shared — many threads
 // hammering one PackedBins with simultaneous kernel builds must (a) never
-// race, (b) produce histograms bit-identical to solo single-threaded runs,
-// including when the hammer threads themselves use the shared pool for
-// intra-build sharding. Then end-to-end: a PARALLEL cached CV search with
-// the simd kernels on (worker trials sharing one packed substrate through
-// the SubstrateCache) must produce record-for-record the same history as
-// the scalar-forced run — kernel concurrency can never leak into search
-// results.
+// race, (b) produce histograms bit-identical to solo single-threaded runs.
+// Then end-to-end: a PARALLEL cached CV search with the simd kernels on
+// (worker trials sharing one packed substrate through the SubstrateCache)
+// must produce record-for-record the same history as the scalar-forced
+// run — kernel concurrency can never leak into search results.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "automl/automl.h"
-#include "common/thread_pool.h"
 #include "data/generators.h"
 #include "support/prop.h"
+#include "support/scoped_kernel_env.h"
 #include "tree/binning.h"
 #include "tree/histogram.h"
 #include "tree/packed_bins.h"
@@ -99,13 +96,9 @@ TEST(HistogramKernelStress, ConcurrentBuildsOnSharedPackedMatchSoloRuns) {
       for (int round = 0; round < kRounds; ++round) {
         for (std::size_t i = 0; i < subsets.size(); ++i) {
           const std::size_t s = (i + static_cast<std::size_t>(t)) % subsets.size();
-          // Even threads also shard intra-build over the shared pool, so
-          // pool-level and caller-level concurrency overlap under TSan.
-          const HistParallel par =
-              t % 2 == 0 ? HistParallel{&shared_pool(), 4} : HistParallel{};
           build_gradient_histogram_packed(packed, offsets, features,
                                           subsets[s].data(), subsets[s].size(),
-                                          grad, hess, false, hist, kernel, par);
+                                          grad, hess, false, hist, kernel);
           bool ok = hist.size() == ref_grad[s].size();
           for (std::size_t j = 0; ok && j < hist.size(); ++j) {
             ok = hist[j].g == ref_grad[s][j].g &&
@@ -113,7 +106,7 @@ TEST(HistogramKernelStress, ConcurrentBuildsOnSharedPackedMatchSoloRuns) {
           }
           build_class_histogram_packed(packed, offsets, 3, subsets[s].data(),
                                        subsets[s].size(), labels, weights,
-                                       cells, kernel, par);
+                                       cells, kernel);
           ok = ok && cells.size() == ref_class[s].size();
           for (std::size_t j = 0; ok && j < cells.size(); ++j) {
             ok = cells[j] == ref_class[s][j];
@@ -149,13 +142,16 @@ FLAML_PROP(HistogramKernelStress, ParallelSearchSimdMatchesScalarForced, 2) {
   };
   options.seed = prop.rng.next();
 
-  ::setenv("FLAML_HISTOGRAM_KERNEL", "simd", 1);
   AutoML simd;
-  simd.fit(data, options);
-  ::setenv("FLAML_HISTOGRAM_KERNEL", "scalar", 1);
+  {
+    testing::ScopedKernelEnv env("simd");
+    simd.fit(data, options);
+  }
   AutoML scalar;
-  scalar.fit(data, options);
-  ::unsetenv("FLAML_HISTOGRAM_KERNEL");
+  {
+    testing::ScopedKernelEnv env("scalar");
+    scalar.fit(data, options);
+  }
 
   const TrialHistory& a = simd.history();
   const TrialHistory& b = scalar.history();

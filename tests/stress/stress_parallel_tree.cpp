@@ -1,9 +1,9 @@
 // Nested-parallelism stress for intra-trial tree training (docs/TESTING.md):
 // trial-level workers (an outer ThreadPool, as the AutoML controller uses)
-// each train models whose growers fan out on the process-wide shared_pool()
-// with n_threads > 1. Every model must still come out byte-identical to its
+// each train models that fan out on the process-wide shared_pool() with
+// n_threads > 1. Every model must still come out byte-identical to its
 // serial reference — under TSan this doubles as a race hunt over the
-// histogram build, split finding, bagging and score-update paths.
+// forest bagging, score-update and row-sharded prediction paths.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -79,9 +79,8 @@ TEST(StressParallelTree, NestedGbdtTrainingMatchesSerial) {
 }
 
 TEST(StressParallelTree, NestedForestTrainingMatchesSerial) {
-  // Forests parallelize across trees AND inside each grower; nested under
-  // an outer trial pool all of it must degrade gracefully and stay
-  // bit-identical.
+  // Forests parallelize across trees; nested under an outer trial pool the
+  // bagging must degrade gracefully and stay bit-identical.
   constexpr int kJobs = 6;
   std::vector<Dataset> datasets;
   std::vector<std::string> serial;

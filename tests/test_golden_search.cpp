@@ -14,13 +14,13 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
 
 #include "support/history_digest.h"
 #include "support/resume_test_util.h"
+#include "support/scoped_kernel_env.h"
 
 namespace flaml {
 namespace {
@@ -31,6 +31,7 @@ using testing::expect_history_digest;
 using testing::history_digest;
 using testing::resume_options;
 using testing::resume_tiny_binary;
+using testing::ScopedKernelEnv;
 
 void expect_golden(const AutoML& automl, std::uint64_t expected_digest,
                    const std::string& expected_best_learner,
@@ -139,33 +140,6 @@ void expect_cache_transparent(ResamplingPolicy resampling,
 // A mismatch between kernel settings is a kernel correctness bug — never
 // re-pin around it. Re-pin the constants only for intentional changes to the
 // search loop or the tree learners themselves.
-
-// Scoped FLAML_HISTOGRAM_KERNEL override; restores the prior value so kernel
-// goldens cannot leak into later tests.
-class ScopedKernelEnv {
- public:
-  explicit ScopedKernelEnv(const char* value) {
-    const char* old = std::getenv("FLAML_HISTOGRAM_KERNEL");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value == nullptr) {
-      ::unsetenv("FLAML_HISTOGRAM_KERNEL");
-    } else {
-      ::setenv("FLAML_HISTOGRAM_KERNEL", value, 1);
-    }
-  }
-  ~ScopedKernelEnv() {
-    if (had_old_) {
-      ::setenv("FLAML_HISTOGRAM_KERNEL", old_.c_str(), 1);
-    } else {
-      ::unsetenv("FLAML_HISTOGRAM_KERNEL");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
 
 std::uint64_t real_search_digest(std::size_t n_parallel) {
   const Dataset data = resume_tiny_binary(2024);

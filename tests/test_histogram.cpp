@@ -2,9 +2,7 @@
 //   * histogram subtraction (parent − child) equals a direct build over the
 //     sibling's rows — exactly, when the inputs are dyadic rationals, and
 //     within float tolerance for arbitrary inputs;
-//   * the compact small-leaf slice equals the matching full-histogram slice;
-//   * parallel builds are bit-identical to serial builds for every tested
-//     thread count (the determinism contract of the parallel growers).
+//   * the compact small-leaf slice equals the matching full-histogram slice.
 #include "tree/histogram.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +12,6 @@
 #include <numeric>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "data/generators.h"
 #include "support/prop.h"
 #include "tree/binning.h"
@@ -37,10 +34,10 @@ struct BinnedData {
         offsets(histogram_offsets(mapper)) {}
 };
 
-BinnedData random_regression(Rng& rng, std::size_t min_rows = 64) {
+BinnedData random_regression(Rng& rng) {
   SyntheticSpec spec;
   spec.task = Task::Regression;
-  spec.n_rows = min_rows + rng.uniform_index(700);
+  spec.n_rows = 64 + rng.uniform_index(700);
   spec.n_features = 3 + static_cast<int>(rng.uniform_index(8));
   spec.categorical_fraction = rng.uniform(0.0, 0.4);
   spec.missing_fraction = rng.uniform(0.0, 0.2);
@@ -49,11 +46,11 @@ BinnedData random_regression(Rng& rng, std::size_t min_rows = 64) {
   return BinnedData(make_regression(spec), max_bin);
 }
 
-BinnedData random_classification(Rng& rng, int n_classes, std::size_t min_rows = 64) {
+BinnedData random_classification(Rng& rng, int n_classes) {
   SyntheticSpec spec;
   spec.task = n_classes > 2 ? Task::MultiClassification : Task::BinaryClassification;
   spec.n_classes = n_classes;
-  spec.n_rows = min_rows + rng.uniform_index(700);
+  spec.n_rows = 64 + rng.uniform_index(700);
   spec.n_features = 3 + static_cast<int>(rng.uniform_index(8));
   spec.categorical_fraction = rng.uniform(0.0, 0.4);
   spec.missing_fraction = rng.uniform(0.0, 0.2);
@@ -219,68 +216,6 @@ FLAML_PROP(HistogramProp, CompactSliceMatchesFullHistogram, 15) {
          cell < static_cast<std::size_t>(n_bins) * static_cast<std::size_t>(k);
          ++cell) {
       EXPECT_EQ(compact[cell], slice[cell]) << "feature " << f << " cell " << cell;
-    }
-  }
-}
-
-FLAML_PROP(HistogramProp, ParallelGradientBuildBitIdentical, 10) {
-  // Rows >= 512 so the build actually engages the pool (the gate is
-  // data-dependent, not thread-dependent).
-  BinnedData bd = random_regression(prop.rng, /*min_rows=*/512);
-  const std::size_t n = bd.data.n_rows();
-  std::vector<double> grad(n), hess(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    grad[i] = prop.rng.normal();
-    hess[i] = prop.rng.uniform(1e-3, 2.0);
-  }
-  std::vector<std::uint32_t> rows(n);
-  std::iota(rows.begin(), rows.end(), 0u);
-  const std::vector<int> features = all_features(bd.mapper);
-
-  std::vector<HistEntry> serial;
-  build_gradient_histogram(bd.binned, bd.offsets, features, rows.data(), n,
-                           grad, hess, serial);
-  for (int n_threads : {2, 4, 8}) {
-    std::vector<HistEntry> parallel;
-    build_gradient_histogram(bd.binned, bd.offsets, features, rows.data(), n,
-                             grad, hess, parallel,
-                             HistParallel{&shared_pool(), n_threads});
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].g, serial[i].g) << "n_threads " << n_threads;
-      EXPECT_EQ(parallel[i].h, serial[i].h) << "n_threads " << n_threads;
-      EXPECT_EQ(parallel[i].n, serial[i].n) << "n_threads " << n_threads;
-    }
-  }
-}
-
-FLAML_PROP(HistogramProp, ParallelClassBuildBitIdentical, 10) {
-  const int k = 2 + static_cast<int>(prop.rng.uniform_index(3));
-  BinnedData bd = random_classification(prop.rng, k, /*min_rows=*/512);
-  const std::size_t n = bd.data.n_rows();
-  std::vector<int> labels(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    labels[i] = static_cast<int>(bd.data.label(i));
-  }
-  std::vector<double> weights;
-  if (prop.rng.bernoulli(0.5)) {
-    weights.resize(n);
-    for (double& w : weights) w = prop.rng.uniform(0.1, 2.0);
-  }
-  std::vector<std::uint32_t> rows(n);
-  std::iota(rows.begin(), rows.end(), 0u);
-
-  std::vector<double> serial;
-  build_class_histogram(bd.binned, bd.offsets, k, rows.data(), n, labels,
-                        weights, serial);
-  for (int n_threads : {2, 4, 8}) {
-    std::vector<double> parallel;
-    build_class_histogram(bd.binned, bd.offsets, k, rows.data(), n, labels,
-                          weights, parallel,
-                          HistParallel{&shared_pool(), n_threads});
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i], serial[i]) << "n_threads " << n_threads;
     }
   }
 }

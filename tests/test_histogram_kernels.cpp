@@ -1,6 +1,6 @@
 // Kernel differential-test harness (docs/TESTING.md, "Kernel differential
-// testing"): every packed histogram kernel (portable / sse2 / avx2, whichever
-// this build + CPU supports) is compared against the legacy scalar build —
+// testing"): every packed histogram kernel (portable / sse2, whichever this
+// build supports) is compared against the legacy scalar build —
 // the reference implementation — over a sweep of bin widths crossing the
 // uint8/uint16 packing boundary and a battery of edge shapes:
 //
@@ -16,13 +16,14 @@
 //   * counts (n, and class-layout cells under unit weights) exactly equal;
 //   * (g, h) sums within kUlpBound ulps of scalar — pinned at ZERO: the
 //     packed kernels execute the same IEEE adds in the same per-accumulator
-//     order as the scalar loop (see hist_kernels_impl.h), so they are
+//     order as the scalar loop (see hist_kernels.cpp), so they are
 //     bit-identical, NaN payloads included. The bound is a named constant so
 //     a future kernel that genuinely must reorder states its looseness in
 //     the diff of this file, not silently.
-//   * kernel-vs-kernel and run-vs-run bit-identity at thread counts 1..8 —
-//     the determinism contract that lets simd default on under the golden
-//     search digests.
+//   * kernel-vs-kernel and run-vs-run bit-identity — the determinism
+//     contract that lets simd default on under the golden search digests;
+//   * FLAML_HISTOGRAM_KERNEL resolution: every spelling outside the
+//     documented set is rejected with a typed error.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -33,10 +34,12 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/error.h"
 #include "data/generators.h"
 #include "support/prop.h"
+#include "support/scoped_kernel_env.h"
 #include "tree/binning.h"
+#include "tree/grower.h"
 #include "tree/histogram.h"
 #include "tree/packed_bins.h"
 
@@ -44,6 +47,7 @@ namespace flaml {
 namespace {
 
 using testing::PropCase;
+using testing::ScopedKernelEnv;
 
 // Pinned accuracy bound for (g, h) sums vs the scalar reference, in ulps.
 // Zero is intentional — see the file comment. Loosening it is an API-level
@@ -74,8 +78,7 @@ std::int64_t ulp_distance(double a, double b) {
 
 std::vector<HistKernel> packed_kernels() {
   std::vector<HistKernel> out;
-  for (HistKernel k :
-       {HistKernel::Portable, HistKernel::Sse2, HistKernel::Avx2}) {
+  for (HistKernel k : {HistKernel::Portable, HistKernel::Sse2}) {
     if (hist_kernel_available(k)) out.push_back(k);
   }
   return out;
@@ -323,47 +326,96 @@ TEST(HistogramKernels, NanGradientsPropagateBitIdentically) {
   run_differential(fx, "nan-grad");
 }
 
-TEST(HistogramKernels, BitIdenticalAcrossRunsAndThreadCounts1To8) {
+TEST(HistogramKernels, BitIdenticalAcrossRuns) {
   Rng rng(0x7ead5);
-  // 1500 rows crosses the parallel gate, so threads > 1 genuinely shard.
   Fixture fx = make_fixture(rng, 1500, 200, Edge::Random);
   for (HistKernel k : packed_kernels()) {
     std::vector<HistEntry> first;
     std::vector<double> first_cells;
-    for (int run = 0; run < 2; ++run) {
-      for (int n_threads = 1; n_threads <= 8; ++n_threads) {
-        const HistParallel par{&shared_pool(), n_threads};
-        const std::string tag = std::string("kernel=") + hist_kernel_name(k) +
-                                " run=" + std::to_string(run) +
-                                " threads=" + std::to_string(n_threads);
-        std::vector<HistEntry> hist;
-        build_gradient_histogram_packed(fx.packed, fx.offsets, fx.features,
-                                        fx.rows.data(), fx.rows.size(),
-                                        fx.grad, fx.hess, false, hist, k, par);
-        std::vector<double> cells;
-        build_class_histogram_packed(fx.packed, fx.offsets, fx.n_classes,
-                                     fx.rows.data(), fx.rows.size(),
-                                     fx.labels, fx.weights, cells, k, par);
-        if (first.empty()) {
-          first = hist;
-          first_cells = cells;
-          continue;
-        }
-        ASSERT_EQ(hist.size(), first.size()) << tag;
-        for (std::size_t i = 0; i < first.size(); ++i) {
-          EXPECT_EQ(double_bits(hist[i].g), double_bits(first[i].g)) << tag;
-          EXPECT_EQ(double_bits(hist[i].h), double_bits(first[i].h)) << tag;
-          EXPECT_EQ(hist[i].n, first[i].n) << tag;
-          if (::testing::Test::HasFailure()) return;
-        }
-        ASSERT_EQ(cells.size(), first_cells.size()) << tag;
-        for (std::size_t i = 0; i < first_cells.size(); ++i) {
-          EXPECT_EQ(double_bits(cells[i]), double_bits(first_cells[i])) << tag;
-          if (::testing::Test::HasFailure()) return;
-        }
+    for (int run = 0; run < 3; ++run) {
+      const std::string tag = std::string("kernel=") + hist_kernel_name(k) +
+                              " run=" + std::to_string(run);
+      std::vector<HistEntry> hist;
+      build_gradient_histogram_packed(fx.packed, fx.offsets, fx.features,
+                                      fx.rows.data(), fx.rows.size(), fx.grad,
+                                      fx.hess, false, hist, k);
+      std::vector<double> cells;
+      build_class_histogram_packed(fx.packed, fx.offsets, fx.n_classes,
+                                   fx.rows.data(), fx.rows.size(), fx.labels,
+                                   fx.weights, cells, k);
+      if (first.empty()) {
+        first = hist;
+        first_cells = cells;
+        continue;
+      }
+      ASSERT_EQ(hist.size(), first.size()) << tag;
+      for (std::size_t i = 0; i < first.size(); ++i) {
+        EXPECT_EQ(double_bits(hist[i].g), double_bits(first[i].g)) << tag;
+        EXPECT_EQ(double_bits(hist[i].h), double_bits(first[i].h)) << tag;
+        EXPECT_EQ(hist[i].n, first[i].n) << tag;
+        if (::testing::Test::HasFailure()) return;
+      }
+      ASSERT_EQ(cells.size(), first_cells.size()) << tag;
+      for (std::size_t i = 0; i < first_cells.size(); ++i) {
+        EXPECT_EQ(double_bits(cells[i]), double_bits(first_cells[i])) << tag;
+        if (::testing::Test::HasFailure()) return;
       }
     }
   }
+}
+
+TEST(HistogramKernels, DocumentedKernelSpellingsResolve) {
+  for (const char* auto_value : {"auto", "simd", ""}) {
+    ScopedKernelEnv env(auto_value);
+    EXPECT_EQ(active_hist_kernel(), best_hist_kernel()) << auto_value;
+  }
+  {
+    ScopedKernelEnv env(nullptr);
+    EXPECT_EQ(active_hist_kernel(), best_hist_kernel());
+  }
+  for (HistKernel k :
+       {HistKernel::Scalar, HistKernel::Portable, HistKernel::Sse2}) {
+    if (!hist_kernel_available(k)) continue;
+    ScopedKernelEnv env(hist_kernel_name(k));
+    EXPECT_EQ(active_hist_kernel(), k) << hist_kernel_name(k);
+  }
+}
+
+TEST(HistogramKernels, UnknownKernelSpellingIsATypedError) {
+  // The list includes the AVX2 kernel's name: this build has no such kernel,
+  // so it must fail loudly rather than fall back to another one.
+  for (const char* bad : {"avx2", "AVX2", "sse4", "Scalar", " sse2", "simd ",
+                          "bogus"}) {
+    ScopedKernelEnv env(bad);
+    EXPECT_THROW(active_hist_kernel(), InvalidArgument) << "'" << bad << "'";
+    EXPECT_THROW(packed_bins_enabled(), InvalidArgument) << "'" << bad << "'";
+    try {
+      active_hist_kernel();
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << "the error should name the rejected value: " << e.what();
+    }
+  }
+  // The reject path is reached through tree growth too: a grower resolves
+  // the kernel once per tree and surfaces the same typed error.
+  ScopedKernelEnv env("bogus");
+  SyntheticSpec spec;
+  spec.task = Task::Regression;
+  spec.n_rows = 64;
+  spec.n_features = 3;
+  spec.seed = 5;
+  const Dataset data = make_regression(spec);
+  const BinMapper fitted = BinMapper::fit(DataView(data), 15);
+  const BinnedMatrix binned = fitted.encode(DataView(data));
+  std::vector<std::uint32_t> rows(data.n_rows());
+  std::iota(rows.begin(), rows.end(), 0u);
+  const std::vector<double> grad(data.n_rows(), 0.5), hess(data.n_rows(), 1.0);
+  std::vector<int> features(data.n_cols());
+  std::iota(features.begin(), features.end(), 0);
+  GradientTreeGrower grower(fitted, binned);
+  Rng grow_rng(1);
+  EXPECT_THROW(grower.grow(rows, grad, hess, features, GrowerParams{}, grow_rng),
+               InvalidArgument);
 }
 
 FLAML_PROP(HistogramKernelsProp, DifferentialHoldsOnRandomShapes, 12) {

@@ -1,17 +1,27 @@
 // The determinism contract of intra-trial parallelism (docs/TESTING.md):
-// growing a tree / forest / GBDT with n_threads ∈ {2, 4, 8} must produce
-// BYTE-IDENTICAL models to the serial path — same splits, same thresholds,
-// same leaf values — and bit-identical predictions. Each property serializes
-// both models through tree_io / model save() and compares the strings, which
-// catches any float-level divergence, not just structural mismatches.
+// training a forest (tree-parallel bagging) or a GBDT (row-sharded score
+// updates) with n_threads ∈ {2, 4, 8} must produce BYTE-IDENTICAL models to
+// the serial path — same splits, same thresholds, same leaf values — and
+// bit-identical row-sharded predictions. Tree growth itself is serial, but
+// one const grower is shared by every tree a forest bags concurrently (and
+// one binned substrate by concurrent trials), so the grower-level properties
+// call grow() from n_threads threads at once on a fresh grower — racing its
+// lazy packed-bin build too — and require every tree to equal the serial
+// one. Each property serializes both sides through tree_io / model save()
+// and compares the strings, which catches any float-level divergence, not
+// just structural mismatches.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <future>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "boosting/gbdt.h"
+#include "common/thread_pool.h"
 #include "data/generators.h"
 #include "forest/forest.h"
 #include "support/prop.h"
@@ -47,7 +57,6 @@ struct BinnedFixture {
 Dataset random_regression_data(Rng& rng) {
   SyntheticSpec spec;
   spec.task = Task::Regression;
-  // Large enough that the root engages the parallel build/find gates.
   spec.n_rows = 400 + rng.uniform_index(600);
   spec.n_features = 4 + static_cast<int>(rng.uniform_index(8));
   spec.categorical_fraction = rng.uniform(0.0, 0.4);
@@ -79,8 +88,23 @@ GrowerParams random_grower_params(Rng& rng) {
   return params;
 }
 
-FLAML_PROP(ParallelGrowerProp, LeafWiseTreeBitIdentical, 8) {
-  BinnedFixture fx(random_regression_data(prop.rng));
+// Runs grow() on n_threads pool workers at once and returns each tree's
+// serialization, in task order.
+std::vector<std::string> grow_concurrently(int n_threads,
+                                           const std::function<Tree()>& grow) {
+  ThreadPool pool(static_cast<std::size_t>(n_threads));
+  std::vector<std::future<std::string>> futures;
+  for (int t = 0; t < n_threads; ++t) {
+    futures.push_back(pool.submit([&grow] { return tree_string(grow()); }));
+  }
+  std::vector<std::string> out;
+  for (auto& f : futures) out.push_back(f.get());
+  return out;
+}
+
+void expect_gradient_trees_match_serial(const BinnedFixture& fx,
+                                        const GrowerParams& params,
+                                        std::uint64_t seed) {
   const std::size_t n = fx.data.n_rows();
   std::vector<std::uint32_t> rows(n);
   std::iota(rows.begin(), rows.end(), 0u);
@@ -91,51 +115,36 @@ FLAML_PROP(ParallelGrowerProp, LeafWiseTreeBitIdentical, 8) {
   }
   std::vector<int> features(fx.data.n_cols());
   std::iota(features.begin(), features.end(), 0);
+
+  const GradientTreeGrower serial_grower(fx.mapper, fx.binned);
+  Rng serial_rng(seed);
+  const std::string serial = tree_string(
+      serial_grower.grow(rows, grad, hess, features, params, serial_rng));
+  for (int n_threads : kThreadCounts) {
+    const GradientTreeGrower grower(fx.mapper, fx.binned);
+    const std::vector<std::string> trees = grow_concurrently(n_threads, [&] {
+      Rng rng(seed);
+      return grower.grow(rows, grad, hess, features, params, rng);
+    });
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+      EXPECT_EQ(trees[t], serial) << "n_threads " << n_threads << " task " << t;
+    }
+  }
+}
+
+FLAML_PROP(ParallelGrowerProp, LeafWiseTreeBitIdentical, 8) {
+  BinnedFixture fx(random_regression_data(prop.rng));
   GrowerParams params = random_grower_params(prop.rng);
   params.style = TreeStyle::LeafWise;
-  const std::uint64_t seed = prop.rng.next();
-
-  GradientTreeGrower grower(fx.mapper, fx.binned);
-  Rng serial_rng(seed);
-  const std::string serial =
-      tree_string(grower.grow(rows, grad, hess, features, params, serial_rng));
-  for (int n_threads : kThreadCounts) {
-    params.n_threads = n_threads;
-    Rng parallel_rng(seed);
-    const std::string parallel =
-        tree_string(grower.grow(rows, grad, hess, features, params, parallel_rng));
-    EXPECT_EQ(parallel, serial) << "n_threads " << n_threads;
-  }
+  expect_gradient_trees_match_serial(fx, params, prop.rng.next());
 }
 
 FLAML_PROP(ParallelGrowerProp, ObliviousTreeBitIdentical, 8) {
   BinnedFixture fx(random_regression_data(prop.rng));
-  const std::size_t n = fx.data.n_rows();
-  std::vector<std::uint32_t> rows(n);
-  std::iota(rows.begin(), rows.end(), 0u);
-  std::vector<double> grad(n), hess(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    grad[i] = -fx.data.label(i);
-    hess[i] = 1.0;
-  }
-  std::vector<int> features(fx.data.n_cols());
-  std::iota(features.begin(), features.end(), 0);
   GrowerParams params = random_grower_params(prop.rng);
   params.style = TreeStyle::Oblivious;
   params.oblivious_depth = 3 + static_cast<int>(prop.rng.uniform_index(4));
-  const std::uint64_t seed = prop.rng.next();
-
-  GradientTreeGrower grower(fx.mapper, fx.binned);
-  Rng serial_rng(seed);
-  const std::string serial =
-      tree_string(grower.grow(rows, grad, hess, features, params, serial_rng));
-  for (int n_threads : kThreadCounts) {
-    params.n_threads = n_threads;
-    Rng parallel_rng(seed);
-    const std::string parallel =
-        tree_string(grower.grow(rows, grad, hess, features, params, parallel_rng));
-    EXPECT_EQ(parallel, serial) << "n_threads " << n_threads;
-  }
+  expect_gradient_trees_match_serial(fx, params, prop.rng.next());
 }
 
 FLAML_PROP(ParallelGrowerProp, ClassTreeBitIdentical, 8) {
@@ -159,20 +168,22 @@ FLAML_PROP(ParallelGrowerProp, ClassTreeBitIdentical, 8) {
   params.max_features = prop.rng.bernoulli(0.5) ? prop.rng.uniform(0.4, 1.0) : 1.0;
   params.criterion =
       prop.rng.bernoulli(0.5) ? SplitCriterion::Gini : SplitCriterion::Entropy;
-  // extra_random exercises the serially pre-drawn threshold path.
   params.extra_random = prop.rng.bernoulli(0.4);
   const std::uint64_t seed = prop.rng.next();
 
-  ClassTreeGrower grower(fx.mapper, fx.binned, n_classes);
+  const ClassTreeGrower serial_grower(fx.mapper, fx.binned, n_classes);
   Rng serial_rng(seed);
   const std::string serial =
-      tree_string(grower.grow(rows, labels, weights, params, serial_rng));
+      tree_string(serial_grower.grow(rows, labels, weights, params, serial_rng));
   for (int n_threads : kThreadCounts) {
-    params.n_threads = n_threads;
-    Rng parallel_rng(seed);
-    const std::string parallel =
-        tree_string(grower.grow(rows, labels, weights, params, parallel_rng));
-    EXPECT_EQ(parallel, serial) << "n_threads " << n_threads;
+    const ClassTreeGrower grower(fx.mapper, fx.binned, n_classes);
+    const std::vector<std::string> trees = grow_concurrently(n_threads, [&] {
+      Rng rng(seed);
+      return grower.grow(rows, labels, weights, params, rng);
+    });
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+      EXPECT_EQ(trees[t], serial) << "n_threads " << n_threads << " task " << t;
+    }
   }
 }
 
