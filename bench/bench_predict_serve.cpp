@@ -8,14 +8,18 @@
 // mean batch occupancy. Also re-asserts the serving bit-identity contract
 // on the benchmark traffic: every daemon reply must be bit-identical to
 // predicting that client's rows alone with predict_many — batching must
-// never change a single output bit.
+// never change a single output bit. A "wire" section sends the same
+// traffic as request lines through PredictService::handle_line (JSON parse,
+// daemon, reply serialization) and checks each reply's "values" text
+// against dump_json_compact of the direct predict_many values.
 //
 // Usage:
 //   bench_predict_serve [--rows=N] [--features=N] [--trees=N] [--leaves=N]
 //                       [--requests=N] [--request-rows=N]
 //                       [--out=BENCH_predict_serve.json] [--check]
 // --check re-reads the emitted file through the JSON parser, validates its
-// shape and requires the bit-identity report to be all-true (the ctest
+// shape (the wire section included) and requires the bit-identity report
+// to be all-true (the ctest
 // smoke test and release CI run this).
 #include <algorithm>
 #include <bit>
@@ -35,6 +39,7 @@
 #include "common/json.h"
 #include "data/generators.h"
 #include "serve/predict_daemon.h"
+#include "serve/predict_service.h"
 
 namespace flaml::bench {
 namespace {
@@ -206,6 +211,99 @@ JsonValue bench_direct(const serve::CompiledModel& model, int requests,
   return entry;
 }
 
+// One predict request line with every cell printed as %.9g, which
+// round-trips a float exactly.
+std::string request_line(const std::vector<std::vector<float>>& rows) {
+  std::string line = R"({"op":"predict","rows":[)";
+  char cell[32];
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    line += r == 0 ? "[" : ",[";
+    for (std::size_t c = 0; c < rows[r].size(); ++c) {
+      if (c > 0) line += ',';
+      std::snprintf(cell, sizeof(cell), "%.9g", static_cast<double>(rows[r][c]));
+      line += cell;
+    }
+    line += ']';
+  }
+  return line + "]}";
+}
+
+// The daemon's line protocol, in process: every window's client traffic as
+// request lines through PredictService::handle_line, one after another,
+// with the JSON parse and the reply serialization also timed alone. Each
+// reply's "values" text must equal dump_json_compact of that client's
+// direct predict_many values.
+JsonValue bench_wire(const serve::CompiledModel& model,
+                     const std::string& artifact_path, int clients, int requests,
+                     std::size_t request_rows, bool* identical_out) {
+  serve::PredictDaemonOptions options;
+  options.n_threads = 2;
+  serve::PredictDaemon daemon(options);
+  daemon.load(artifact_path);
+  serve::PredictService service(daemon);
+
+  std::vector<std::string> lines, expected;
+  for (int c = 0; c < clients; ++c) {
+    const auto rows = make_rows(request_rows, model.n_features(),
+                                0x9000 + static_cast<std::uint64_t>(c));
+    lines.push_back(request_line(rows));
+    JsonValue values = JsonValue::make_array();
+    for (double v : model.predict_many(DataView(rows_to_dataset(rows)), 1).values) {
+      values.push(JsonValue::make_number(v));
+    }
+    expected.push_back("\"values\":" + dump_json_compact(values) + "}");
+  }
+
+  WallClock clock;
+  std::vector<double> handle, parse, serialize;
+  bool identical = true;
+  Stopwatch wall(clock);
+  for (int i = 0; i < requests; ++i) {
+    for (int c = 0; c < clients; ++c) {
+      Stopwatch timer(clock);
+      const std::string reply = service.handle_line(lines[c]);
+      handle.push_back(timer.elapsed());
+      const std::size_t at = reply.rfind("\"values\":");
+      identical = identical && at != std::string::npos &&
+                  reply.compare(at, std::string::npos, expected[c]) == 0;
+    }
+  }
+  const double wall_s = wall.elapsed();
+  for (int i = 0; i < requests; ++i) {
+    Stopwatch parse_timer(clock);
+    const JsonValue request = parse_json(lines[i % clients]);
+    parse.push_back(parse_timer.elapsed());
+    const JsonValue response = service.handle(request);
+    Stopwatch serialize_timer(clock);
+    const std::string text = dump_json_compact(response);
+    serialize.push_back(serialize_timer.elapsed());
+  }
+  daemon.drain();
+  std::sort(handle.begin(), handle.end());
+  std::sort(parse.begin(), parse.end());
+  std::sort(serialize.begin(), serialize.end());
+
+  const double total_rows = static_cast<double>(request_rows) *
+                            static_cast<double>(requests) *
+                            static_cast<double>(clients);
+  const double rows_per_sec = wall_s > 0.0 ? total_rows / wall_s : 0.0;
+  JsonValue entry = JsonValue::make_object();
+  entry.set("requests", JsonValue::make_number(requests * clients));
+  entry.set("latency_p50_s", JsonValue::make_number(percentile(handle, 50.0)));
+  entry.set("latency_p99_s", JsonValue::make_number(percentile(handle, 99.0)));
+  entry.set("rows_per_sec", JsonValue::make_number(rows_per_sec));
+  entry.set("parse_p50_s", JsonValue::make_number(percentile(parse, 50.0)));
+  entry.set("serialize_p50_s", JsonValue::make_number(percentile(serialize, 50.0)));
+  entry.set("values_identical", JsonValue::make_bool(identical));
+  if (identical_out != nullptr) *identical_out = identical;
+  std::cerr << "  wire handle_line: p50=" << percentile(handle, 50.0)
+            << " s (parse " << percentile(parse, 50.0) << " s, serialize "
+            << percentile(serialize, 50.0) << " s), " << rows_per_sec
+            << " rows/s, " << (identical ? "values identical" : "VALUES DIFFER")
+            << "\n";
+  return entry;
+}
+
 // Validate the shape --check depends on; throws on any mismatch.
 void check_result_file(const std::string& path) {
   std::ifstream in(path);
@@ -243,6 +341,21 @@ void check_result_file(const std::string& path) {
     if (identical == nullptr || !identical->is_bool()) {
       throw std::runtime_error("window lacks bit_identical");
     }
+  }
+  const JsonValue* wire = root.find("wire");
+  if (wire == nullptr || !wire->is_object()) {
+    throw std::runtime_error("missing wire section");
+  }
+  for (const char* key : {"requests", "latency_p50_s", "latency_p99_s",
+                          "rows_per_sec", "parse_p50_s", "serialize_p50_s"}) {
+    const JsonValue* v = wire->find(key);
+    if (v == nullptr || !v->is_number() || v->number < 0.0) {
+      throw std::runtime_error(std::string("malformed wire field '") + key + "'");
+    }
+  }
+  const JsonValue* wire_identical = wire->find("values_identical");
+  if (wire_identical == nullptr || !wire_identical->is_bool()) {
+    throw std::runtime_error("wire section lacks values_identical");
   }
   const JsonValue* report = root.find("bit_identity");
   if (report == nullptr || report->find("all_identical") == nullptr) {
@@ -304,6 +417,12 @@ int run(int argc, char** argv) {
     all_identical = all_identical && identical;
   }
   root.set("windows", std::move(windows));
+
+  bool wire_identical = true;
+  root.set("wire", bench_wire(model, artifact_path, kWindows[0].clients, requests,
+                              static_cast<std::size_t>(request_rows),
+                              &wire_identical));
+  all_identical = all_identical && wire_identical;
 
   JsonValue report = JsonValue::make_object();
   report.set("all_identical", JsonValue::make_bool(all_identical));

@@ -154,8 +154,9 @@ bool hist_bits_equal(const std::vector<HistEntry>& a,
 // Single-thread kernel sweep: scalar reference vs every available packed
 // kernel on the SAME inputs. Each timing loops the build until the row
 // volume is large enough to dwarf clock noise (the smoke test runs tiny
-// datasets), and every packed histogram is compared bit-for-bit against the
-// scalar one before its timing is trusted.
+// datasets), the kernels take turns within every repeat, and every packed
+// histogram is compared bit-for-bit against the scalar one before its
+// timing is trusted.
 JsonValue kernel_sweep(const BenchData& data, int repeats, double& best_speedup,
                        bool& all_identical) {
   const std::vector<std::size_t> offsets = histogram_offsets(data.mapper);
@@ -190,94 +191,98 @@ JsonValue kernel_sweep(const BenchData& data, int repeats, double& best_speedup,
   section.set("unit_hess", JsonValue::make_bool(unit_hess));
   JsonValue entries = JsonValue::make_array();
 
-  double scalar_full_seconds = 0.0;
-  best_speedup = 0.0;
-  all_identical = true;
-  const HistKernel kernels[] = {HistKernel::Scalar, HistKernel::Portable,
-                                HistKernel::Sse2};
-  for (HistKernel kernel : kernels) {
-    if (!hist_kernel_available(kernel)) continue;
-    const bool scalar = kernel == HistKernel::Scalar;
+  auto grad_build = [&](HistKernel kernel, const std::uint32_t* rows,
+                        std::size_t count, std::vector<HistEntry>& out) {
+    if (kernel == HistKernel::Scalar) {
+      build_gradient_histogram(data.binned, offsets, data.features, rows, count,
+                               data.grad, data.hess, out);
+    } else {
+      build_gradient_histogram_packed(packed, offsets, data.features, rows, count,
+                                      data.grad, data.hess, unit_hess, out, kernel);
+    }
+  };
+  auto class_build = [&](HistKernel kernel) {
+    if (kernel == HistKernel::Scalar) {
+      build_class_histogram(data.class_binned, class_offsets, 3, data.rows.data(),
+                            data.rows.size(), data.labels, {}, class_hist);
+    } else {
+      build_class_histogram_packed(class_packed, class_offsets, 3, data.rows.data(),
+                                   data.rows.size(), data.labels, {}, class_hist,
+                                   kernel);
+    }
+  };
 
-    auto grad_build = [&](const std::uint32_t* rows, std::size_t count,
-                          std::vector<HistEntry>& out) {
-      if (scalar) {
-        build_gradient_histogram(data.binned, offsets, data.features, rows,
-                                 count, data.grad, data.hess, out);
-      } else {
-        build_gradient_histogram_packed(packed, offsets, data.features, rows,
-                                        count, data.grad, data.hess, unit_hess,
-                                        out, kernel);
-      }
-    };
-    auto class_build = [&] {
-      if (scalar) {
-        build_class_histogram(data.class_binned, class_offsets, 3,
-                              data.rows.data(), data.rows.size(), data.labels,
-                              {}, class_hist);
-      } else {
-        build_class_histogram_packed(class_packed, class_offsets, 3,
-                                     data.rows.data(), data.rows.size(),
-                                     data.labels, {}, class_hist, kernel);
-      }
-    };
-
-    // Bit-identity gate before timing.
+  // Best seconds per build of each kernel, scalar first.
+  struct KernelTimes {
+    HistKernel kernel;
     bool identical = true;
-    if (!scalar) {
-      grad_build(data.rows.data(), data.rows.size(), hist);
-      identical = identical && hist_bits_equal(hist, scalar_full);
-      grad_build(subset.data(), subset.size(), hist);
-      identical = identical && hist_bits_equal(hist, scalar_subset);
-      class_build();
-      identical = identical && class_hist == scalar_class;
-      if (!identical) {
+    double full = 0.0, subset = 0.0, cls = 0.0;
+  };
+  std::vector<KernelTimes> times;
+  all_identical = true;
+  for (HistKernel kernel : {HistKernel::Scalar, HistKernel::Portable, HistKernel::Sse2}) {
+    if (!hist_kernel_available(kernel)) continue;
+    KernelTimes t{kernel};
+    // Bit-identity gate before timing.
+    if (kernel != HistKernel::Scalar) {
+      grad_build(kernel, data.rows.data(), data.rows.size(), hist);
+      t.identical = hist_bits_equal(hist, scalar_full);
+      grad_build(kernel, subset.data(), subset.size(), hist);
+      t.identical = t.identical && hist_bits_equal(hist, scalar_subset);
+      class_build(kernel);
+      t.identical = t.identical && class_hist == scalar_class;
+      if (!t.identical) {
         std::cerr << "KERNEL DIVERGENCE: " << hist_kernel_name(kernel)
                   << " != scalar\n";
         all_identical = false;
       }
     }
+    times.push_back(t);
+  }
 
-    const double full_seconds =
-        best_seconds(repeats, [&] {
-          for (int it = 0; it < iters; ++it) {
-            grad_build(data.rows.data(), data.rows.size(), hist);
-          }
-        }) /
-        iters;
-    const double subset_seconds =
-        best_seconds(repeats, [&] {
-          for (int it = 0; it < iters * 2; ++it) {
-            grad_build(subset.data(), subset.size(), hist);
-          }
-        }) /
-        (iters * 2);
-    const double class_seconds =
-        best_seconds(repeats, [&] {
-          for (int it = 0; it < iters; ++it) class_build();
-        }) /
-        iters;
-    if (scalar) scalar_full_seconds = full_seconds;
-    const double speedup =
-        full_seconds > 0.0 ? scalar_full_seconds / full_seconds : 0.0;
-    if (!scalar) best_speedup = std::max(best_speedup, speedup);
+  // Round-robin repeats: each repeat times every kernel once, so a drift in
+  // machine load hits all kernels alike; each kernel keeps its best repeat.
+  for (int r = 0; r < repeats; ++r) {
+    for (KernelTimes& t : times) {
+      const double full = best_seconds(1, [&] {
+        for (int it = 0; it < iters; ++it) {
+          grad_build(t.kernel, data.rows.data(), data.rows.size(), hist);
+        }
+      }) / iters;
+      const double sub = best_seconds(1, [&] {
+        for (int it = 0; it < iters * 2; ++it) {
+          grad_build(t.kernel, subset.data(), subset.size(), hist);
+        }
+      }) / (iters * 2);
+      const double cls = best_seconds(1, [&] {
+        for (int it = 0; it < iters; ++it) class_build(t.kernel);
+      }) / iters;
+      t.full = r == 0 ? full : std::min(t.full, full);
+      t.subset = r == 0 ? sub : std::min(t.subset, sub);
+      t.cls = r == 0 ? cls : std::min(t.cls, cls);
+    }
+  }
+
+  best_speedup = 0.0;
+  const double scalar_full_seconds = times.front().full;
+  for (const KernelTimes& t : times) {
+    const double speedup = t.full > 0.0 ? scalar_full_seconds / t.full : 0.0;
+    if (t.kernel != HistKernel::Scalar) best_speedup = std::max(best_speedup, speedup);
 
     JsonValue entry = JsonValue::make_object();
-    entry.set("kernel", JsonValue::make_string(hist_kernel_name(kernel)));
-    entry.set("grad_full_seconds", JsonValue::make_number(full_seconds));
+    entry.set("kernel", JsonValue::make_string(hist_kernel_name(t.kernel)));
+    entry.set("grad_full_seconds", JsonValue::make_number(t.full));
     entry.set("grad_full_rows_per_sec",
-              JsonValue::make_number(full_seconds > 0.0
-                                         ? static_cast<double>(data.rows.size()) /
-                                               full_seconds
-                                         : 0.0));
-    entry.set("grad_subset_seconds", JsonValue::make_number(subset_seconds));
-    entry.set("class_full_seconds", JsonValue::make_number(class_seconds));
+              JsonValue::make_number(
+                  t.full > 0.0 ? static_cast<double>(data.rows.size()) / t.full : 0.0));
+    entry.set("grad_subset_seconds", JsonValue::make_number(t.subset));
+    entry.set("class_full_seconds", JsonValue::make_number(t.cls));
     entry.set("speedup_vs_scalar", JsonValue::make_number(speedup));
-    entry.set("identical_to_scalar", JsonValue::make_bool(identical));
+    entry.set("identical_to_scalar", JsonValue::make_bool(t.identical));
     entries.push(std::move(entry));
-    std::cerr << "  kernel " << hist_kernel_name(kernel) << ": full "
-              << full_seconds << " s (x" << speedup << "), subset "
-              << subset_seconds << " s, class " << class_seconds << " s\n";
+    std::cerr << "  kernel " << hist_kernel_name(t.kernel) << ": full " << t.full
+              << " s (x" << speedup << "), subset " << t.subset << " s, class "
+              << t.cls << " s\n";
   }
   section.set("entries", std::move(entries));
   section.set("best_speedup_vs_scalar", JsonValue::make_number(best_speedup));

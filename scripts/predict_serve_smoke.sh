@@ -9,7 +9,8 @@
 # typed refusal, not tear the stream down. Then one socket-mode serve
 # process gets a large predict from a client that hangs up before the
 # reply: that must end only the client's connection — the daemon keeps
-# answering and exits cleanly on shutdown (no SIGPIPE).
+# answering and exits cleanly on shutdown (no SIGPIPE). Last, one write of
+# 1010 pipelined request lines must get 1010 replies, in order.
 #
 # Usage:
 #   scripts/predict_serve_smoke.sh [bindir]   # default build/tools
@@ -128,6 +129,39 @@ if ! client ping > "$workdir/ping" 2>&1 ||
   cat "$workdir/ping" "$workdir/serve.log" >&2
   exit 1
 fi
+# Pipelined requests: 1000 pings, with a marker op after every 100th, in a
+# single write. Every line must get its reply, in request order (each
+# marker comes back as a typed refusal naming it).
+if ! python3 - "$sock" <<'PY' 2>&1
+import socket, sys
+lines, want = [], []
+for i in range(1000):
+    lines.append('{"op":"ping"}')
+    want.append('"pong":true')
+    if i % 100 == 99:
+        lines.append('{"op":"mark-%d"}' % i)
+        want.append("unknown op 'mark-%d'" % i)
+conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+conn.connect(sys.argv[1])
+conn.sendall(("\n".join(lines) + "\n").encode())
+data = b""
+while data.count(b"\n") < len(want):
+    chunk = conn.recv(65536)
+    if not chunk:
+        break
+    data += chunk
+conn.close()
+replies = data.decode().split("\n")[:-1]
+if len(replies) != len(want):
+    sys.exit("got %d replies to %d pipelined requests" % (len(replies), len(want)))
+for i, (reply, pattern) in enumerate(zip(replies, want)):
+    if pattern not in reply:
+        sys.exit("reply %d out of order: %s (expected %s)" % (i, reply, pattern))
+PY
+then
+  echo "predict_serve_smoke: FAIL [pipelined requests answered in order]" >&2
+  exit 1
+fi
 client shutdown > /dev/null
 status=0
 wait "$server" || status=$?
@@ -139,4 +173,4 @@ if [ "$status" -ne 0 ]; then
 fi
 
 echo "predict_serve_smoke: OK ($(wc -l < "$workdir/responses") stdio" \
-  "responses + socket disconnect case, $bindir)"
+  "responses + socket disconnect and pipelined cases, $bindir)"

@@ -1,8 +1,10 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace flaml {
 
@@ -99,17 +101,15 @@ void dump_string(const std::string& s, std::string& out) {
 }
 
 void dump_number(double x, std::string& out) {
-  // Integers print without an exponent or trailing zeros; everything else
-  // uses enough digits to round-trip.
-  if (x == std::floor(x) && std::fabs(x) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", x);
-    out += buf;
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", x);
-  out += buf;
+  // printf's %.17g in the C locale: enough digits to round-trip, and
+  // integral values below 1e17 come out bare ("42", "-0"), as %.0f would
+  // print them. std::to_chars with an explicit format and precision is
+  // specified as exactly that printf conversion, without its format parsing
+  // or locale lookup.
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), x, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 void dump_value_compact(const JsonValue& v, std::string& out) {
@@ -288,19 +288,31 @@ class Parser {
     }
   }
 
+  // The token is [-]{digit . e E + -}*. std::from_chars converts it in
+  // place; it rounds exactly like strtod, but rejects a leading '+' and
+  // reports out-of-range values as errors. Any token it does not convert
+  // completely therefore takes the strtod path, which keeps the accepted
+  // set, the values and the error messages unchanged.
   JsonValue parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (!((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+            c == '+' || c == '-')) {
+        break;
+      }
       ++pos_;
     }
     if (pos_ == start) fail("expected a value");
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double x = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, x);
+    if (r.ec == std::errc{} && r.ptr == last) return JsonValue::make_number(x);
     char* end = nullptr;
-    const std::string token = text_.substr(start, pos_ - start);
-    const double x = std::strtod(token.c_str(), &end);
+    const std::string token(first, last);
+    x = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') fail("malformed number '" + token + "'");
     return JsonValue::make_number(x);
   }
@@ -313,6 +325,9 @@ class Parser {
       ++pos_;
       return v;
     }
+    // A first capacity of 8 skips the 1-2-4 growth steps, each of which
+    // moves every element already parsed (a prediction row has ~14 cells).
+    v.array.reserve(8);
     for (;;) {
       v.array.push_back(parse_value());
       skip_ws();

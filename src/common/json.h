@@ -1,9 +1,20 @@
-// Minimal JSON value, writer and recursive-descent parser shared by the
-// observability layer (src/observe: JSONL traces, run summaries) and the
-// bench binaries that emit machine-readable results (BENCH_tree.json).
+// Minimal JSON value, writer and recursive-descent parser. It is the line
+// wire format of both daemons (the search daemon's SearchService and the
+// prediction daemon's PredictService), the checkpoint payload
+// (src/resume), the observability layer's JSONL traces and run summaries,
+// and the bench binaries' machine-readable results (BENCH_*.json).
 // Supports the subset those need: null, bool, finite numbers, strings,
 // arrays, objects (insertion-ordered). Parsing throws std::runtime_error
 // with an offset on malformed input, which is what --check relies on.
+//
+// Number contract (pinned by tests/test_json.cpp against the C library):
+//   - Printing gives exactly the bytes of printf "%.17g" in the C locale,
+//     so doubles round-trip and integral values below 1e15 print bare,
+//     as "%.0f" would ("42", "-0").
+//   - Parsing a token gives exactly the bits strtod gives for it, and
+//     accepts exactly what strtod accepts of the token [-]{0-9 . e E + -}*
+//     (a leading '+' included), except that non-finite results (1e400)
+//     are rejected. Underflow gives zero or a subnormal, as strtod does.
 #pragma once
 
 #include <stdexcept>
@@ -47,8 +58,8 @@ struct JsonValue {
   JsonValue& push(JsonValue value);
 };
 
-// Serialize with 2-space indentation and a trailing '\n'; numbers use up to
-// 17 significant digits so doubles round-trip.
+// Serialize with 2-space indentation and a trailing '\n'; numbers print as
+// "%.17g" (see the number contract above).
 std::string dump_json(const JsonValue& value);
 
 // Serialize on a single line with no whitespace (the JSONL form the trace

@@ -25,16 +25,15 @@
 // response verbatim; the exit code is 0 iff the response has "ok": true.
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "common/error.h"
+#include "common/line_socket.h"
 #include "server/service.h"
 
 #ifndef _WIN32
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 #endif
 
@@ -69,45 +68,17 @@ int usage() {
 
 #ifndef _WIN32
 
-// Replies go out with MSG_NOSIGNAL: a client that hangs up before its reply
-// ends only its own connection, not the daemon (no SIGPIPE).
+// One connection at a time; a shutdown op ends the connection it came on,
+// then the daemon.
 int serve_socket(SearchService& service, const std::string& path) {
-  ::unlink(path.c_str());
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  FLAML_REQUIRE(fd >= 0, "socket(): " << std::strerror(errno));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  FLAML_REQUIRE(path.size() < sizeof(addr.sun_path),
-                "socket path too long: '" << path << "'");
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  FLAML_REQUIRE(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-                "bind('" << path << "'): " << std::strerror(errno));
-  FLAML_REQUIRE(::listen(fd, 8) == 0, "listen(): " << std::strerror(errno));
+  const int fd = listen_unix(path, 8);
   std::fprintf(stderr, "listening on %s\n", path.c_str());
   while (!service.shutdown_requested()) {
     const int client = ::accept(fd, nullptr, nullptr);
     if (client < 0) break;
-    std::string buffer;
-    char chunk[4096];
-    ssize_t n = 0;
-    while (!service.shutdown_requested() &&
-           (n = ::read(client, chunk, sizeof(chunk))) > 0) {
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      std::size_t pos = 0;
-      while ((pos = buffer.find('\n')) != std::string::npos) {
-        const std::string line = buffer.substr(0, pos);
-        buffer.erase(0, pos + 1);
-        if (line.empty()) continue;
-        const std::string response = service.handle_line(line) + "\n";
-        std::size_t written = 0;
-        while (written < response.size()) {
-          const ssize_t w = ::send(client, response.data() + written,
-                                   response.size() - written, MSG_NOSIGNAL);
-          if (w <= 0) break;
-          written += static_cast<std::size_t>(w);
-        }
-      }
-    }
+    serve_lines(
+        client, [&service](const std::string& line) { return service.handle_line(line); },
+        [&service] { return service.shutdown_requested(); });
     ::close(client);
   }
   ::close(fd);
@@ -115,43 +86,11 @@ int serve_socket(SearchService& service, const std::string& path) {
   return 0;
 }
 
-// One request line -> one response line over the daemon's unix socket.
-std::string round_trip(const std::string& path, const std::string& request) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  FLAML_REQUIRE(fd >= 0, "socket(): " << std::strerror(errno));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  FLAML_REQUIRE(path.size() < sizeof(addr.sun_path),
-                "socket path too long: '" << path << "'");
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    throw InvalidArgument("connect('" + path + "'): " + std::strerror(errno));
-  }
-  const std::string line = request + "\n";
-  std::size_t written = 0;
-  while (written < line.size()) {
-    const ssize_t w = ::write(fd, line.data() + written, line.size() - written);
-    FLAML_REQUIRE(w > 0, "write(): " << std::strerror(errno));
-    written += static_cast<std::size_t>(w);
-  }
-  std::string response;
-  char c = 0;
-  while (::read(fd, &c, 1) == 1 && c != '\n') response.push_back(c);
-  ::close(fd);
-  FLAML_REQUIRE(!response.empty(), "daemon closed the connection mid-request");
-  return response;
-}
-
 #else
 
 int serve_socket(SearchService&, const std::string&) {
   std::fprintf(stderr, "socket mode is POSIX-only; use stdio mode\n");
   return 2;
-}
-
-std::string round_trip(const std::string&, const std::string&) {
-  throw InvalidArgument("client mode is POSIX-only");
 }
 
 #endif  // _WIN32
