@@ -43,9 +43,8 @@ void BM_HistogramTreeGrow(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const int leaves = static_cast<int>(state.range(1));
   DataView view = DataView(bench_data()).prefix(n);
-  BinMapper mapper = BinMapper::fit(view, 255);
-  BinnedMatrix binned = mapper.encode(view);
-  GradientTreeGrower grower(mapper, binned);
+  const BinnedSubstrate substrate = build_substrate(view, 255);
+  GradientTreeGrower grower(substrate);
   std::vector<std::uint32_t> rows(n);
   std::iota(rows.begin(), rows.end(), 0u);
   std::vector<double> grad(n), hess(n, 1.0);

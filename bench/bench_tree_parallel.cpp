@@ -7,10 +7,12 @@
 // the benchmark inputs: the parallel forest must serialize byte-identically
 // to its serial reference, and the result records whether that held.
 //
-// Also sweeps the histogram KERNELS (scalar reference vs every available
-// packed kernel, single thread) into a "kernels" section: rows/sec on the
-// gradient build (full row set and a gathered half subset) plus the class
-// build, with every packed result verified bit-identical to scalar.
+// Also sweeps the histogram KERNELS (single thread) into a "kernels"
+// section: the column-walk oracle from tests/support/scalar_histogram.h
+// (entry "scalar") vs every packed table this build compiles. It reports
+// rows/sec on the gradient build (full row set and a gathered half subset)
+// plus the class build, with every packed result verified bit-identical to
+// the oracle.
 //
 // Usage:
 //   bench_tree_parallel [--rows=N] [--features=N] [--repeats=N]
@@ -25,6 +27,7 @@
 #include <fstream>
 #include <iostream>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -37,6 +40,7 @@
 #include "data/generators.h"
 #include "forest/forest.h"
 #include "common/json.h"
+#include "support/scalar_histogram.h"
 #include "tree/histogram.h"
 
 namespace flaml::bench {
@@ -151,7 +155,7 @@ bool hist_bits_equal(const std::vector<HistEntry>& a,
   return true;
 }
 
-// Single-thread kernel sweep: scalar reference vs every available packed
+// Single-thread kernel sweep: the scalar oracle vs every compiled packed
 // kernel on the SAME inputs. Each timing loops the build until the row
 // volume is large enough to dwarf clock noise (the smoke test runs tiny
 // datasets), the kernels take turns within every repeat, and every packed
@@ -177,54 +181,64 @@ JsonValue kernel_sweep(const BenchData& data, int repeats, double& best_speedup,
 
   std::vector<HistEntry> scalar_full, scalar_subset, hist;
   std::vector<double> scalar_class, class_hist;
-  build_gradient_histogram(data.binned, offsets, data.features, data.rows.data(),
-                           data.rows.size(), data.grad, data.hess, scalar_full);
-  build_gradient_histogram(data.binned, offsets, data.features, subset.data(),
-                           subset.size(), data.grad, data.hess, scalar_subset);
-  build_class_histogram(data.class_binned, class_offsets, 3, data.rows.data(),
-                        data.rows.size(), data.labels, {}, scalar_class);
+  testing::build_gradient_histogram(data.binned, offsets, data.features,
+                                    data.rows.data(), data.rows.size(),
+                                    data.grad, data.hess, scalar_full);
+  testing::build_gradient_histogram(data.binned, offsets, data.features,
+                                    subset.data(), subset.size(), data.grad,
+                                    data.hess, scalar_subset);
+  testing::build_class_histogram(data.class_binned, class_offsets, 3,
+                                 data.rows.data(), data.rows.size(),
+                                 data.labels, {}, scalar_class);
 
   JsonValue section = JsonValue::make_object();
-  section.set("active", JsonValue::make_string(hist_kernel_name(active_hist_kernel())));
+  section.set("active", JsonValue::make_string(hist_kernel_name(best_hist_kernel())));
   section.set("packed_width",
               JsonValue::make_string(packed.wide() ? "u16" : "u8"));
   section.set("unit_hess", JsonValue::make_bool(unit_hess));
   JsonValue entries = JsonValue::make_array();
 
-  auto grad_build = [&](HistKernel kernel, const std::uint32_t* rows,
+  // A kernel is a packed table, or nullopt for the scalar oracle.
+  using Kernel = std::optional<HistKernel>;
+  auto kernel_name = [](Kernel kernel) {
+    return kernel ? hist_kernel_name(*kernel) : "scalar";
+  };
+  auto grad_build = [&](Kernel kernel, const std::uint32_t* rows,
                         std::size_t count, std::vector<HistEntry>& out) {
-    if (kernel == HistKernel::Scalar) {
-      build_gradient_histogram(data.binned, offsets, data.features, rows, count,
-                               data.grad, data.hess, out);
+    if (!kernel) {
+      testing::build_gradient_histogram(data.binned, offsets, data.features,
+                                        rows, count, data.grad, data.hess, out);
     } else {
       build_gradient_histogram_packed(packed, offsets, data.features, rows, count,
-                                      data.grad, data.hess, unit_hess, out, kernel);
+                                      data.grad, data.hess, unit_hess, out, *kernel);
     }
   };
-  auto class_build = [&](HistKernel kernel) {
-    if (kernel == HistKernel::Scalar) {
-      build_class_histogram(data.class_binned, class_offsets, 3, data.rows.data(),
-                            data.rows.size(), data.labels, {}, class_hist);
+  auto class_build = [&](Kernel kernel) {
+    if (!kernel) {
+      testing::build_class_histogram(data.class_binned, class_offsets, 3,
+                                     data.rows.data(), data.rows.size(),
+                                     data.labels, {}, class_hist);
     } else {
       build_class_histogram_packed(class_packed, class_offsets, 3, data.rows.data(),
                                    data.rows.size(), data.labels, {}, class_hist,
-                                   kernel);
+                                   *kernel);
     }
   };
 
   // Best seconds per build of each kernel, scalar first.
   struct KernelTimes {
-    HistKernel kernel;
+    Kernel kernel;
     bool identical = true;
     double full = 0.0, subset = 0.0, cls = 0.0;
   };
+  std::vector<Kernel> kernels{std::nullopt, HistKernel::Portable};
+  if (best_hist_kernel() == HistKernel::Sse2) kernels.push_back(HistKernel::Sse2);
   std::vector<KernelTimes> times;
   all_identical = true;
-  for (HistKernel kernel : {HistKernel::Scalar, HistKernel::Portable, HistKernel::Sse2}) {
-    if (!hist_kernel_available(kernel)) continue;
+  for (Kernel kernel : kernels) {
     KernelTimes t{kernel};
     // Bit-identity gate before timing.
-    if (kernel != HistKernel::Scalar) {
+    if (kernel) {
       grad_build(kernel, data.rows.data(), data.rows.size(), hist);
       t.identical = hist_bits_equal(hist, scalar_full);
       grad_build(kernel, subset.data(), subset.size(), hist);
@@ -232,7 +246,7 @@ JsonValue kernel_sweep(const BenchData& data, int repeats, double& best_speedup,
       class_build(kernel);
       t.identical = t.identical && class_hist == scalar_class;
       if (!t.identical) {
-        std::cerr << "KERNEL DIVERGENCE: " << hist_kernel_name(kernel)
+        std::cerr << "KERNEL DIVERGENCE: " << kernel_name(kernel)
                   << " != scalar\n";
         all_identical = false;
       }
@@ -267,10 +281,10 @@ JsonValue kernel_sweep(const BenchData& data, int repeats, double& best_speedup,
   const double scalar_full_seconds = times.front().full;
   for (const KernelTimes& t : times) {
     const double speedup = t.full > 0.0 ? scalar_full_seconds / t.full : 0.0;
-    if (t.kernel != HistKernel::Scalar) best_speedup = std::max(best_speedup, speedup);
+    if (t.kernel) best_speedup = std::max(best_speedup, speedup);
 
     JsonValue entry = JsonValue::make_object();
-    entry.set("kernel", JsonValue::make_string(hist_kernel_name(t.kernel)));
+    entry.set("kernel", JsonValue::make_string(kernel_name(t.kernel)));
     entry.set("grad_full_seconds", JsonValue::make_number(t.full));
     entry.set("grad_full_rows_per_sec",
               JsonValue::make_number(
@@ -280,7 +294,7 @@ JsonValue kernel_sweep(const BenchData& data, int repeats, double& best_speedup,
     entry.set("speedup_vs_scalar", JsonValue::make_number(speedup));
     entry.set("identical_to_scalar", JsonValue::make_bool(t.identical));
     entries.push(std::move(entry));
-    std::cerr << "  kernel " << hist_kernel_name(t.kernel) << ": full " << t.full
+    std::cerr << "  kernel " << kernel_name(t.kernel) << ": full " << t.full
               << " s (x" << speedup << "), subset " << t.subset << " s, class "
               << t.cls << " s\n";
   }

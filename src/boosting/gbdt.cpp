@@ -154,7 +154,7 @@ GBDTModel train_gbdt(const DataView& train, const DataView* valid,
   // Bin the training rows: take the shared cross-trial substrate when the
   // provider has one for exactly these rows at this max_bin, else fit
   // fresh. Both paths are byte-identical by construction (build_substrate
-  // runs the same fit+encode), so the provider can never change the model.
+  // runs the same fit+encode+pack), so the provider can never change the model.
   std::shared_ptr<const BinnedSubstrate> shared =
       params.substrate ? params.substrate(params.max_bin) : nullptr;
   if (shared != nullptr && (shared->max_bin != params.max_bin ||
@@ -163,12 +163,7 @@ GBDTModel train_gbdt(const DataView& train, const DataView* valid,
   }
   BinnedSubstrate local;
   if (shared == nullptr) local = build_substrate(train, params.max_bin);
-  const BinMapper& mapper = shared ? shared->mapper : local.mapper;
-  const BinnedMatrix& binned = shared ? shared->binned : local.binned;
-  // Hand the substrate's packed row-major layout to the grower when the
-  // build produced one (empty when the scalar kernel is forced).
-  const PackedBins& packed = shared ? shared->packed : local.packed;
-  GradientTreeGrower grower(mapper, binned, packed.empty() ? nullptr : &packed);
+  GradientTreeGrower grower(shared ? *shared : local);
 
   const std::size_t n = train.n_rows();
   std::vector<double> labels = train.labels();

@@ -3,8 +3,11 @@
 #include <cerrno>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "common/error.h"
+#include "common/json.h"
+#include "common/wire.h"
 
 #ifndef _WIN32
 #include <sys/socket.h>
@@ -66,6 +69,7 @@ void serve_lines(int client,
     std::size_t begin = 0;  // the first byte of the next line
     while (const void* nl = std::memchr(buffer.data() + scan, '\n', buffer.size() - scan)) {
       const std::size_t end = static_cast<std::size_t>(static_cast<const char*>(nl) - buffer.data());
+      if (end - begin > kMaxLineBytes) break;
       if (end > begin) {
         line.assign(buffer, begin, end - begin);
         std::string reply = handle(line);
@@ -73,6 +77,14 @@ void serve_lines(int client,
         send_all(client, reply);
       }
       begin = scan = end + 1;
+    }
+    // Reached by an overlong line whether or not its '\n' has arrived.
+    if (buffer.size() - begin > kMaxLineBytes) {
+      send_all(client, dump_json_compact(wire::error_response(
+                           "request line longer than " +
+                           std::to_string(kMaxLineBytes) + " bytes")) +
+                           "\n");
+      return;
     }
     buffer.erase(0, begin);
   }
@@ -86,19 +98,25 @@ std::string round_trip(const std::string& path, const std::string& request) {
     ::close(fd);
     throw InvalidArgument("connect('" + path + "'): " + std::strerror(errno));
   }
-  const std::string line = request + "\n";
-  std::size_t written = 0;
-  while (written < line.size()) {
-    const ssize_t w = ::write(fd, line.data() + written, line.size() - written);
-    FLAML_REQUIRE(w > 0, "write(): " << std::strerror(errno));
-    written += static_cast<std::size_t>(w);
-  }
+  // A daemon that rejects an overlong request replies and hangs up before
+  // reading all of it; send_all then stops quietly and the reply is read.
+  send_all(fd, request + "\n");
   std::string response;
-  char c = 0;
-  while (::read(fd, &c, 1) == 1 && c != '\n') response.push_back(c);
+  char chunk[64 * 1024];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) break;
+    const std::size_t scan = response.size();
+    response.append(chunk, static_cast<std::size_t>(n));
+    const std::size_t nl = response.find('\n', scan);
+    if (nl != std::string::npos) {
+      ::close(fd);
+      response.resize(nl);
+      return response;
+    }
+  }
   ::close(fd);
-  FLAML_REQUIRE(!response.empty(), "daemon closed the connection mid-request");
-  return response;
+  throw InvalidArgument("daemon closed the connection mid-request");
 }
 
 #else

@@ -138,12 +138,7 @@ ForestModel train_forest(const DataView& train, const ForestParams& params) {
   }
   BinnedSubstrate local;
   if (shared == nullptr) local = build_substrate(train, params.max_bin);
-  const BinMapper& mapper = shared ? shared->mapper : local.mapper;
-  const BinnedMatrix& binned = shared ? shared->binned : local.binned;
-  // The substrate's packed row-major layout (empty when the scalar kernel
-  // is forced; growers then pack locally or fall back to columns).
-  const PackedBins& packed = shared ? shared->packed : local.packed;
-  const PackedBins* packed_ptr = packed.empty() ? nullptr : &packed;
+  const BinnedSubstrate& substrate = shared ? *shared : local;
 
   ForestModel model(task, dataset.n_classes());
 
@@ -279,7 +274,7 @@ ForestModel train_forest(const DataView& train, const ForestParams& params) {
     std::vector<int> labels(n);
     for (std::size_t i = 0; i < n; ++i) labels[i] = static_cast<int>(train.label(i));
     std::vector<double> weights = weighted ? train.weights() : std::vector<double>{};
-    ClassTreeGrower grower(mapper, binned, dataset.n_classes(), packed_ptr);
+    ClassTreeGrower grower(substrate, dataset.n_classes());
     ClassGrowerParams gp;
     gp.max_leaves = params.max_leaves;
     gp.min_samples_leaf = params.min_samples_leaf;
@@ -304,7 +299,7 @@ ForestModel train_forest(const DataView& train, const ForestParams& params) {
       grad[i] = -w * train.label(i);
       hess[i] = w;
     }
-    GradientTreeGrower grower(mapper, binned, packed_ptr);
+    GradientTreeGrower grower(substrate);
     GrowerParams gp;
     gp.max_leaves = params.max_leaves;
     gp.min_samples_leaf = std::max(1, params.min_samples_leaf);

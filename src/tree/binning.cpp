@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "tree/histogram.h"
 
 namespace flaml {
 
@@ -84,32 +83,10 @@ BinnedSubstrate build_substrate(const DataView& view, int max_bin) {
   substrate.mapper = BinMapper::fit(view, max_bin);
   substrate.binned = substrate.mapper.encode(view);
   // With the default max_bin = 255 every code fits a byte, so the packed
-  // copy costs half the column matrix — and each trainer that shares this
-  // substrate skips its own per-grower pack.
-  if (packed_bins_enabled()) {
-    substrate.packed = PackedBins::pack(substrate.binned);
-  }
+  // copy costs half the column matrix.
+  substrate.packed = PackedBins::pack(substrate.binned);
   substrate.max_bin = max_bin;
   return substrate;
-}
-
-BinnedView::BinnedView(const BinnedMatrix& matrix, std::size_t n_rows)
-    : matrix_(&matrix), n_rows_(n_rows) {
-  FLAML_REQUIRE(n_rows <= matrix.n_rows(),
-                "BinnedView of " << n_rows << " rows over a " << matrix.n_rows()
-                                 << "-row matrix");
-}
-
-BinnedMatrix BinnedView::materialize() const {
-  FLAML_REQUIRE(matrix_ != nullptr, "materialize() on an empty BinnedView");
-  BinnedMatrix out(n_rows_, matrix_->n_features());
-  for (std::size_t f = 0; f < matrix_->n_features(); ++f) {
-    const auto& src = matrix_->feature(f);
-    auto& dst = out.feature(f);
-    std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(n_rows_),
-              dst.begin());
-  }
-  return out;
 }
 
 BinnedMatrix BinMapper::encode(const DataView& view) const {

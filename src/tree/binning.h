@@ -69,17 +69,15 @@ class BinMapper {
 };
 
 // A fitted BinMapper together with the matrix it encoded, over one exact
-// row set. Trainers keep raw references into `mapper`/`binned` for the
-// duration of a fit, so shared substrates travel as
+// row set. Growers keep a raw reference to the substrate for the duration
+// of a fit, so shared substrates travel as
 // shared_ptr<const BinnedSubstrate> and are immutable once built.
 struct BinnedSubstrate {
   BinMapper mapper;
   BinnedMatrix binned;
-  // Row-major width-minimal layout of `binned` for the SIMD histogram
-  // kernels (src/tree/histogram.h). Built by build_substrate() unless the
-  // Scalar kernel is forced (packed_bins_enabled() == false), in which case
-  // it stays empty and growers fall back to the column layout — or pack
-  // locally if the kernel changes after the substrate was built.
+  // Row-major width-minimal layout of `binned`, the one the histogram
+  // kernels read (src/tree/histogram.h). build_substrate() always builds it;
+  // `binned` stays for the growers' row partitioning.
   PackedBins packed;
   int max_bin = 0;  // the fit() parameter, for compatibility checks
 
@@ -87,38 +85,11 @@ struct BinnedSubstrate {
   std::size_t bytes() const;
 };
 
-// Fit + encode over exactly the rows of `view`. Byte-identical to what a
-// trainer builds internally for the same view and max_bin — the invariant
+// Fit + encode + pack over exactly the rows of `view`. Trainers call this
+// when no shared substrate is offered, so a cached substrate is
+// byte-identical to the one a trainer would build itself — the invariant
 // the cross-trial substrate cache (src/automl/substrate_cache.h) relies on.
 BinnedSubstrate build_substrate(const DataView& view, int max_bin);
-
-// Row-prefix window into an encoded matrix; valid while the matrix lives.
-// encode() is row-independent under a FIXED mapper, so the window over the
-// first n rows equals encoding those rows directly with that mapper (pinned
-// by the property suite in tests/test_substrate_cache.cpp). Fitting a NEW
-// mapper on the prefix is a different operation — bin edges depend on the
-// rows seen — which is why the cache stores per-exact-row-set substrates
-// instead of slicing one full-size fit.
-class BinnedView {
- public:
-  BinnedView() = default;
-  BinnedView(const BinnedMatrix& matrix, std::size_t n_rows);
-
-  std::size_t n_rows() const { return n_rows_; }
-  std::size_t n_features() const {
-    return matrix_ == nullptr ? 0 : matrix_->n_features();
-  }
-  std::uint16_t bin(std::size_t row, std::size_t f) const {
-    return matrix_->bin(row, f);
-  }
-
-  // Copy the window into a standalone matrix.
-  BinnedMatrix materialize() const;
-
- private:
-  const BinnedMatrix* matrix_ = nullptr;
-  std::size_t n_rows_ = 0;
-};
 
 // Handed to trainers through TrainContext / trainer params: returns a
 // shared substrate for EXACTLY the trainer's training rows at the given

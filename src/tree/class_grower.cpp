@@ -50,24 +50,22 @@ struct ClassLeaf {
 
 class ClassGrowContext {
  public:
-  ClassGrowContext(const BinMapper& mapper, const BinnedMatrix& binned,
-                   const PackedBins* packed, HistKernel kernel, int n_classes,
+  ClassGrowContext(const BinnedSubstrate& substrate, int n_classes,
                    const std::vector<std::uint32_t>& rows, const std::vector<int>& labels,
                    const std::vector<double>& weights, const ClassGrowerParams& params,
                    Rng& rng)
-      : mapper_(mapper),
-        binned_(binned),
-        packed_(packed),
-        kernel_(kernel),
+      : mapper_(substrate.mapper),
+        binned_(substrate.binned),
+        packed_(substrate.packed),
         k_(n_classes),
         labels_(labels),
         weights_(weights),
         params_(params),
         rng_(rng),
         buffer_(rows),
-        offsets_(histogram_offsets(mapper)) {
-    all_features_.resize(mapper.n_features());
-    for (std::size_t f = 0; f < mapper.n_features(); ++f) {
+        offsets_(histogram_offsets(mapper_)) {
+    all_features_.resize(mapper_.n_features());
+    for (std::size_t f = 0; f < mapper_.n_features(); ++f) {
       all_features_[f] = static_cast<int>(f);
     }
   }
@@ -175,15 +173,9 @@ class ClassGrowContext {
 
   // Remove a child's rows from an inherited parent histogram (in place).
   void remove_rows_from_hist(const ClassLeaf& child, std::vector<double>& hist) const {
-    if (packed_ != nullptr) {
-      remove_rows_from_class_histogram_packed(
-          *packed_, offsets_, k_, buffer_.data() + child.begin, child.count,
-          labels_, weights_, hist, kernel_);
-    } else {
-      remove_rows_from_class_histogram(binned_, offsets_, k_,
-                                       buffer_.data() + child.begin,
-                                       child.count, labels_, weights_, hist);
-    }
+    remove_rows_from_class_histogram_packed(packed_, offsets_, k_,
+                                            buffer_.data() + child.begin,
+                                            child.count, labels_, weights_, hist);
   }
 
   std::vector<double> count_classes(const ClassLeaf& leaf) const {
@@ -195,14 +187,9 @@ class ClassGrowContext {
   }
 
   void build_hist(ClassLeaf& leaf) const {
-    if (packed_ != nullptr) {
-      build_class_histogram_packed(*packed_, offsets_, k_,
-                                   buffer_.data() + leaf.begin, leaf.count,
-                                   labels_, weights_, leaf.hist, kernel_);
-    } else {
-      build_class_histogram(binned_, offsets_, k_, buffer_.data() + leaf.begin,
-                            leaf.count, labels_, weights_, leaf.hist);
-    }
+    build_class_histogram_packed(packed_, offsets_, k_,
+                                 buffer_.data() + leaf.begin, leaf.count,
+                                 labels_, weights_, leaf.hist);
   }
 
   std::vector<int> sampled_features() {
@@ -249,17 +236,9 @@ class ClassGrowContext {
     const FeatureBins& fb = mapper_.feature(static_cast<std::size_t>(f));
     const double* hist;
     if (leaf.hist.empty()) {
-      if (packed_ != nullptr) {
-        fill_feature_class_counts_packed(*packed_, f, fb.n_bins(), k_,
-                                         buffer_.data() + leaf.begin,
-                                         leaf.count, labels_, weights_,
-                                         compact_counts_, kernel_);
-      } else {
-        fill_feature_class_counts(binned_.feature(static_cast<std::size_t>(f)),
-                                  fb.n_bins(), k_, buffer_.data() + leaf.begin,
-                                  leaf.count, labels_, weights_,
-                                  compact_counts_);
-      }
+      fill_feature_class_counts_packed(packed_, f, fb.n_bins(), k_,
+                                       buffer_.data() + leaf.begin, leaf.count,
+                                       labels_, weights_, compact_counts_);
       hist = compact_counts_.data();
     } else {
       hist = leaf.hist.data() + offsets_[static_cast<std::size_t>(f)] * k;
@@ -403,9 +382,8 @@ class ClassGrowContext {
   }
 
   const BinMapper& mapper_;
-  const BinnedMatrix& binned_;
-  const PackedBins* packed_;  // null = legacy scalar column build
-  HistKernel kernel_;
+  const BinnedMatrix& binned_;  // column codes, for partitioning
+  const PackedBins& packed_;    // row-major codes, for histograms
   int k_;
   const std::vector<int>& labels_;
   const std::vector<double>& weights_;
@@ -423,21 +401,9 @@ class ClassGrowContext {
 
 }  // namespace
 
-ClassTreeGrower::ClassTreeGrower(const BinMapper& mapper, const BinnedMatrix& binned,
-                                 int n_classes, const PackedBins* packed)
-    : mapper_(&mapper), binned_(&binned), n_classes_(n_classes), packed_(packed) {
+ClassTreeGrower::ClassTreeGrower(const BinnedSubstrate& substrate, int n_classes)
+    : substrate_(&substrate), n_classes_(n_classes) {
   FLAML_REQUIRE(n_classes >= 2, "classification tree needs >= 2 classes");
-  FLAML_REQUIRE(packed == nullptr || (packed->n_rows() == binned.n_rows() &&
-                                      packed->n_features() == binned.n_features()),
-                "packed bins must describe the same matrix as `binned`");
-}
-
-const PackedBins* ClassTreeGrower::packed_or_build() const {
-  if (packed_ != nullptr) return packed_;
-  std::call_once(pack_once_, [this] {
-    owned_packed_ = std::make_unique<PackedBins>(PackedBins::pack(*binned_));
-  });
-  return owned_packed_.get();
 }
 
 Tree ClassTreeGrower::grow(const std::vector<std::uint32_t>& rows,
@@ -452,17 +418,12 @@ Tree ClassTreeGrower::grow(const std::vector<std::uint32_t>& rows,
                            const std::vector<double>& weights,
                            const ClassGrowerParams& params, Rng& rng) const {
   FLAML_REQUIRE(!rows.empty(), "cannot grow a tree on zero rows");
-  FLAML_REQUIRE(labels.size() == binned_->n_rows(),
-                "labels must cover all binned rows");
-  FLAML_REQUIRE(weights.empty() || weights.size() == binned_->n_rows(),
+  const std::size_t n_rows = substrate_->binned.n_rows();
+  FLAML_REQUIRE(labels.size() == n_rows, "labels must cover all binned rows");
+  FLAML_REQUIRE(weights.empty() || weights.size() == n_rows,
                 "weights must cover all binned rows");
-  // Resolved once per tree; packed kernels are bit-identical to Scalar, so
-  // the choice never changes the grown tree.
-  const HistKernel kernel = active_hist_kernel();
-  const PackedBins* packed =
-      kernel == HistKernel::Scalar ? nullptr : packed_or_build();
-  ClassGrowContext ctx(*mapper_, *binned_, packed, kernel, n_classes_, rows,
-                       labels, weights, params, rng);
+  ClassGrowContext ctx(*substrate_, n_classes_, rows, labels, weights, params,
+                       rng);
   return ctx.run();
 }
 

@@ -8,13 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/rng.h"
 #include "tree/binning.h"
-#include "tree/packed_bins.h"
 #include "tree/tree.h"
 
 namespace flaml {
@@ -35,12 +32,11 @@ struct ClassGrowerParams {
 
 class ClassTreeGrower {
  public:
-  // `packed` optionally shares a pre-built row-major layout of the SAME
-  // matrix; when null and the active histogram kernel is not Scalar, the
-  // grower packs `binned` itself once on first use (thread-safe — forests
-  // grow trees concurrently from one grower).
-  ClassTreeGrower(const BinMapper& mapper, const BinnedMatrix& binned,
-                  int n_classes, const PackedBins* packed = nullptr);
+  // `substrate` describes the training rows, as for GradientTreeGrower:
+  // packed codes for the histograms, column codes for partitioning. It must
+  // outlive the grower. grow() is const, so forests grow trees concurrently
+  // from one grower.
+  ClassTreeGrower(const BinnedSubstrate& substrate, int n_classes);
 
   // Grow one tree on `rows` (positions into the binned matrix);
   // `labels[pos]` is the class id of position pos.
@@ -54,14 +50,8 @@ class ClassTreeGrower {
             Rng& rng) const;
 
  private:
-  const PackedBins* packed_or_build() const;
-
-  const BinMapper* mapper_;
-  const BinnedMatrix* binned_;
+  const BinnedSubstrate* substrate_;
   int n_classes_;
-  const PackedBins* packed_;
-  mutable std::once_flag pack_once_;
-  mutable std::unique_ptr<PackedBins> owned_packed_;
 };
 
 }  // namespace flaml

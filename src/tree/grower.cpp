@@ -49,19 +49,16 @@ struct LeafState {
 
 class GrowContext {
  public:
-  GrowContext(const BinMapper& mapper, const BinnedMatrix& binned,
-              const PackedBins* packed, HistKernel kernel,
+  GrowContext(const BinnedSubstrate& substrate,
               const std::vector<std::uint32_t>& rows, const std::vector<double>& grad,
               const std::vector<double>& hess, const std::vector<int>& features,
               const GrowerParams& params, Rng& rng)
-      : mapper_(mapper),
-        binned_(binned),
-        packed_(packed),
-        kernel_(kernel),
+      : mapper_(substrate.mapper),
+        binned_(substrate.binned),
+        packed_(substrate.packed),
         // hess ≡ 1.0 turns on the kernels' derived-count fast path (MSE
         // boosting and unweighted ensembles). One O(n_rows) scan per tree.
-        unit_hess_(packed != nullptr &&
-                   std::all_of(hess.begin(), hess.end(),
+        unit_hess_(std::all_of(hess.begin(), hess.end(),
                                [](double v) { return v == 1.0; })),
         grad_(grad),
         hess_(hess),
@@ -69,20 +66,14 @@ class GrowContext {
         params_(params),
         rng_(rng),
         buffer_(rows),
-        offsets_(histogram_offsets(mapper)) {}
+        offsets_(histogram_offsets(substrate.mapper)) {}
 
   std::size_t hist_size() const { return offsets_.back(); }
 
   void build_hist(const LeafState& leaf, std::vector<HistEntry>& hist) const {
-    if (packed_ != nullptr) {
-      build_gradient_histogram_packed(*packed_, offsets_, features_,
-                                      buffer_.data() + leaf.begin, leaf.count,
-                                      grad_, hess_, unit_hess_, hist, kernel_);
-    } else {
-      build_gradient_histogram(binned_, offsets_, features_,
-                               buffer_.data() + leaf.begin, leaf.count, grad_,
-                               hess_, hist);
-    }
+    build_gradient_histogram_packed(packed_, offsets_, features_,
+                                    buffer_.data() + leaf.begin, leaf.count,
+                                    grad_, hess_, unit_hess_, hist);
   }
 
   // Candidate features for one split search (colsample_bylevel).
@@ -409,15 +400,14 @@ class GrowContext {
         right.g = leaf.g - left.g;
         right.h = leaf.h - left.h;
         if (d + 1 < params_.oblivious_depth) {
-          if (left.count <= right.count) {
-            if (left.count > 0) build_hist(left, left.hist);
-            else left.hist.assign(hist_size(), HistEntry{});
-            subtract_gradient_histogram(leaf.hist, left.hist, right.hist);
-          } else {
-            if (right.count > 0) build_hist(right, right.hist);
-            else right.hist.assign(hist_size(), HistEntry{});
-            subtract_gradient_histogram(leaf.hist, right.hist, left.hist);
-          }
+          // As in leaf-wise growth: build the smaller child and let the
+          // larger one take over the parent's buffer and subtract in place.
+          LeafState& small = left.count <= right.count ? left : right;
+          LeafState& large = left.count <= right.count ? right : left;
+          if (small.count > 0) build_hist(small, small.hist);
+          else small.hist.assign(hist_size(), HistEntry{});
+          large.hist = std::move(leaf.hist);
+          subtract_gradient_histogram_inplace(large.hist, small.hist);
         }
         next.push_back(std::move(left));
         next.push_back(std::move(right));
@@ -434,9 +424,8 @@ class GrowContext {
 
  private:
   const BinMapper& mapper_;
-  const BinnedMatrix& binned_;
-  const PackedBins* packed_;  // null = legacy scalar column build
-  HistKernel kernel_;
+  const BinnedMatrix& binned_;  // column codes, for partitioning
+  const PackedBins& packed_;    // row-major codes, for histograms
   bool unit_hess_;
   const std::vector<double>& grad_;
   const std::vector<double>& hess_;
@@ -457,22 +446,8 @@ class GrowContext {
 
 }  // namespace
 
-GradientTreeGrower::GradientTreeGrower(const BinMapper& mapper,
-                                       const BinnedMatrix& binned,
-                                       const PackedBins* packed)
-    : mapper_(&mapper), binned_(&binned), packed_(packed) {
-  FLAML_REQUIRE(packed == nullptr || (packed->n_rows() == binned.n_rows() &&
-                                      packed->n_features() == binned.n_features()),
-                "packed bins must describe the same matrix as `binned`");
-}
-
-const PackedBins* GradientTreeGrower::packed_or_build() const {
-  if (packed_ != nullptr) return packed_;
-  std::call_once(pack_once_, [this] {
-    owned_packed_ = std::make_unique<PackedBins>(PackedBins::pack(*binned_));
-  });
-  return owned_packed_.get();
-}
+GradientTreeGrower::GradientTreeGrower(const BinnedSubstrate& substrate)
+    : substrate_(&substrate) {}
 
 Tree GradientTreeGrower::grow(const std::vector<std::uint32_t>& rows,
                               const std::vector<double>& grad,
@@ -481,16 +456,10 @@ Tree GradientTreeGrower::grow(const std::vector<std::uint32_t>& rows,
                               const GrowerParams& params, Rng& rng) const {
   FLAML_REQUIRE(!rows.empty(), "cannot grow a tree on zero rows");
   FLAML_REQUIRE(!features.empty(), "cannot grow a tree with zero features");
-  FLAML_REQUIRE(grad.size() == binned_->n_rows() && hess.size() == binned_->n_rows(),
+  const std::size_t n_rows = substrate_->binned.n_rows();
+  FLAML_REQUIRE(grad.size() == n_rows && hess.size() == n_rows,
                 "gradient arrays must cover all binned rows");
-  // Resolved once per tree (env read + cpuid), not per leaf. The packed
-  // kernels are bit-identical to the Scalar reference, so the choice never
-  // changes the grown tree — only how fast the histograms fill.
-  const HistKernel kernel = active_hist_kernel();
-  const PackedBins* packed =
-      kernel == HistKernel::Scalar ? nullptr : packed_or_build();
-  GrowContext ctx(*mapper_, *binned_, packed, kernel, rows, grad, hess,
-                  features, params, rng);
+  GrowContext ctx(*substrate_, rows, grad, hess, features, params, rng);
   return ctx.run();
 }
 

@@ -12,13 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/rng.h"
 #include "tree/binning.h"
-#include "tree/packed_bins.h"
 #include "tree/tree.h"
 
 namespace flaml {
@@ -41,15 +38,13 @@ struct GrowerParams {
 
 class GradientTreeGrower {
  public:
-  // `mapper`/`binned` describe the training rows (binned once per training
-  // run); `view` is the matching raw view used only to fetch raw thresholds.
-  // `packed` optionally shares a pre-built row-major layout of the SAME
-  // matrix (e.g. from a cached BinnedSubstrate); when null and the active
-  // histogram kernel is not Scalar, the grower packs `binned` itself, once,
-  // on first use (thread-safe — forests grow trees concurrently from one
-  // grower).
-  GradientTreeGrower(const BinMapper& mapper, const BinnedMatrix& binned,
-                     const PackedBins* packed = nullptr);
+  // `substrate` describes the training rows (build_substrate(), once per
+  // training run, or a cached copy): histograms are built from its packed
+  // codes, rows are partitioned on its column codes, and thresholds come
+  // from its mapper. It must outlive the grower. grow() is const and
+  // shares nothing mutable, so forests grow trees concurrently from one
+  // grower.
+  explicit GradientTreeGrower(const BinnedSubstrate& substrate);
 
   // Grow one tree on `rows` (positions into the binned matrix) with
   // per-position gradients/hessians (indexed by position, not by row id).
@@ -59,13 +54,7 @@ class GradientTreeGrower {
             const GrowerParams& params, Rng& rng) const;
 
  private:
-  const PackedBins* packed_or_build() const;
-
-  const BinMapper* mapper_;
-  const BinnedMatrix* binned_;
-  const PackedBins* packed_;
-  mutable std::once_flag pack_once_;
-  mutable std::unique_ptr<PackedBins> owned_packed_;
+  const BinnedSubstrate* substrate_;
 };
 
 }  // namespace flaml

@@ -5,7 +5,7 @@
 // feature tiles in ascending feature order and rows in buffer order, and
 // touches each accumulator with either a scalar `+=` or a paired two-lane
 // add of independent lanes — so both tables are bit-identical to the
-// legacy scalar column build in histogram.cpp.
+// column-walk oracle in tests/support/scalar_histogram.h.
 
 #include "tree/hist_kernels.h"
 
@@ -66,7 +66,7 @@ void grad_core(const Code* codes, std::size_t stride, const GradCall& c) {
     }
     // Unit-hessian path: two rows in flight. Per feature j, row i's add is
     // issued before row i+1's, so same-bin collisions still accumulate in
-    // row order (bitwise equal to the scalar reference) while distinct bins
+    // row order (bitwise equal to the column-walk oracle) while distinct bins
     // — the common case — give the CPU two independent load-add-store
     // chains to overlap. The non-unit path stays single-row: its extra
     // n-counter RMW per entry makes the unrolled body spill and run slower.

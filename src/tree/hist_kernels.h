@@ -7,10 +7,10 @@
 // two-lane add. A paired `_mm_add_pd` performs the same two independent
 // IEEE-754 additions as the two scalar `+=`s — there are no multiplies
 // anywhere, so no FMA contraction can change results — which makes both
-// tables bit-identical to each other AND to the legacy scalar column build.
-// That invariant is what lets the fast path default on under the existing
-// golden digests; the differential harness
-// (tests/test_histogram_kernels.cpp) pins it with a 0-ulp bound.
+// tables bit-identical to each other AND to a plain column-walk build. The
+// differential harness (tests/test_histogram_kernels.cpp) pins that with a
+// 0-ulp bound against the column-walk oracle in
+// tests/support/scalar_histogram.h.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +48,7 @@ struct ClassCall {
   const int* labels = nullptr;
   const double* weights = nullptr;  // null = unit weights
   // Remove mode: accumulate -w. IEEE: x + (-w) == x - w bitwise, so one
-  // kernel serves build and the subtraction trick identically to legacy.
+  // kernel serves both the build and the subtraction trick.
   bool negate = false;
   bool iota = false;
   double* hist = nullptr;

@@ -1,9 +1,6 @@
 #include "tree/histogram.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 #include "common/error.h"
 #include "tree/hist_kernels.h"
@@ -12,16 +9,13 @@ namespace flaml {
 
 namespace {
 
-const histdetail::KernelFns* fns_for(HistKernel k) {
-  switch (k) {
-    case HistKernel::Portable:
-      return histdetail::portable_fns();
-    case HistKernel::Sse2:
-      return histdetail::sse2_fns();
-    case HistKernel::Scalar:
-      break;
-  }
-  return nullptr;
+const histdetail::KernelFns& fns_for(HistKernel k) {
+  const histdetail::KernelFns* fns = k == HistKernel::Sse2
+                                         ? histdetail::sse2_fns()
+                                         : histdetail::portable_fns();
+  FLAML_REQUIRE(fns != nullptr, "histogram kernel '" << hist_kernel_name(k)
+                                    << "' is not compiled into this build");
+  return *fns;
 }
 
 // rows == [0, count) exactly — the root build. Detected per call: the scan
@@ -38,8 +32,6 @@ bool rows_are_iota(const std::uint32_t* rows, std::size_t count) {
 
 const char* hist_kernel_name(HistKernel k) {
   switch (k) {
-    case HistKernel::Scalar:
-      return "scalar";
     case HistKernel::Portable:
       return "portable";
     case HistKernel::Sse2:
@@ -48,49 +40,9 @@ const char* hist_kernel_name(HistKernel k) {
   return "unknown";
 }
 
-bool hist_kernel_available(HistKernel k) {
-  switch (k) {
-    case HistKernel::Scalar:
-    case HistKernel::Portable:
-      return true;
-    case HistKernel::Sse2:
-      return histdetail::sse2_fns() != nullptr;
-  }
-  return false;
-}
-
 HistKernel best_hist_kernel() {
-  if (hist_kernel_available(HistKernel::Sse2)) return HistKernel::Sse2;
-  return HistKernel::Portable;
-}
-
-HistKernel active_hist_kernel() {
-  const char* env = std::getenv("FLAML_HISTOGRAM_KERNEL");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0 ||
-      std::strcmp(env, "simd") == 0) {
-    return best_hist_kernel();
-  }
-  HistKernel forced;
-  if (std::strcmp(env, "scalar") == 0) {
-    forced = HistKernel::Scalar;
-  } else if (std::strcmp(env, "portable") == 0) {
-    forced = HistKernel::Portable;
-  } else if (std::strcmp(env, "sse2") == 0) {
-    forced = HistKernel::Sse2;
-  } else {
-    FLAML_REQUIRE(false, "FLAML_HISTOGRAM_KERNEL='"
-                             << env
-                             << "' (want auto|simd|scalar|portable|sse2)");
-    return HistKernel::Scalar;  // unreachable
-  }
-  FLAML_REQUIRE(hist_kernel_available(forced),
-                "FLAML_HISTOGRAM_KERNEL=" << env
-                                          << " is not available on this host");
-  return forced;
-}
-
-bool packed_bins_enabled() {
-  return active_hist_kernel() != HistKernel::Scalar;
+  return histdetail::sse2_fns() != nullptr ? HistKernel::Sse2
+                                           : HistKernel::Portable;
 }
 
 std::vector<std::size_t> histogram_offsets(const BinMapper& mapper) {
@@ -101,36 +53,13 @@ std::vector<std::size_t> histogram_offsets(const BinMapper& mapper) {
   return offsets;
 }
 
-void build_gradient_histogram(const BinnedMatrix& binned,
-                              const std::vector<std::size_t>& offsets,
-                              const std::vector<int>& features,
-                              const std::uint32_t* rows, std::size_t count,
-                              const std::vector<double>& grad,
-                              const std::vector<double>& hess,
-                              std::vector<HistEntry>& hist) {
-  hist.assign(offsets.back(), HistEntry{});
-  for (int f : features) {
-    const auto& col = binned.feature(static_cast<std::size_t>(f));
-    HistEntry* base = hist.data() + offsets[static_cast<std::size_t>(f)];
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint32_t pos = rows[i];
-      HistEntry& e = base[col[pos]];
-      e.g += grad[pos];
-      e.h += hess[pos];
-      e.n += 1;
-    }
-  }
-}
-
 void build_gradient_histogram_packed(
     const PackedBins& packed, const std::vector<std::size_t>& offsets,
     const std::vector<int>& features, const std::uint32_t* rows,
     std::size_t count, const std::vector<double>& grad,
     const std::vector<double>& hess, bool unit_hess,
     std::vector<HistEntry>& hist, HistKernel kernel) {
-  const histdetail::KernelFns* fns = fns_for(kernel);
-  FLAML_REQUIRE(fns != nullptr, "'" << hist_kernel_name(kernel)
-                                    << "' is not a packed histogram kernel");
+  const histdetail::KernelFns& fns = fns_for(kernel);
   hist.assign(offsets.back(), HistEntry{});
   if (count == 0 || features.empty()) return;
   histdetail::GradCall call;
@@ -145,20 +74,9 @@ void build_gradient_histogram_packed(
   call.iota = rows_are_iota(rows, count);
   call.hist = hist.data();
   if (packed.wide()) {
-    fns->grad_u16(packed.codes16(), packed.n_features(), call);
+    fns.grad_u16(packed.codes16(), packed.n_features(), call);
   } else {
-    fns->grad_u8(packed.codes8(), packed.n_features(), call);
-  }
-}
-
-void subtract_gradient_histogram(const std::vector<HistEntry>& parent,
-                                 const std::vector<HistEntry>& child,
-                                 std::vector<HistEntry>& out) {
-  out.resize(parent.size());
-  for (std::size_t i = 0; i < parent.size(); ++i) {
-    out[i].g = parent[i].g - child[i].g;
-    out[i].h = parent[i].h - child[i].h;
-    out[i].n = parent[i].n - child[i].n;
+    fns.grad_u8(packed.codes8(), packed.n_features(), call);
   }
 }
 
@@ -168,26 +86,6 @@ void subtract_gradient_histogram_inplace(std::vector<HistEntry>& parent,
     parent[i].g -= child[i].g;
     parent[i].h -= child[i].h;
     parent[i].n -= child[i].n;
-  }
-}
-
-void build_class_histogram(const BinnedMatrix& binned,
-                           const std::vector<std::size_t>& offsets,
-                           int n_classes, const std::uint32_t* rows,
-                           std::size_t count, const std::vector<int>& labels,
-                           const std::vector<double>& weights,
-                           std::vector<double>& hist) {
-  const std::size_t k = static_cast<std::size_t>(n_classes);
-  hist.assign(offsets.back() * k, 0.0);
-  for (std::size_t f = 0; f < binned.n_features(); ++f) {
-    const auto& col = binned.feature(f);
-    double* base = hist.data() + offsets[f] * k;
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint32_t pos = rows[i];
-      base[static_cast<std::size_t>(col[pos]) * k +
-           static_cast<std::size_t>(labels[pos])] +=
-          weights.empty() ? 1.0 : weights[pos];
-    }
   }
 }
 
@@ -201,9 +99,7 @@ void run_class_kernel_packed(const PackedBins& packed,
                              std::size_t count, const std::vector<int>& labels,
                              const std::vector<double>& weights, bool negate,
                              std::vector<double>& hist, HistKernel kernel) {
-  const histdetail::KernelFns* fns = fns_for(kernel);
-  FLAML_REQUIRE(fns != nullptr, "'" << hist_kernel_name(kernel)
-                                    << "' is not a packed histogram kernel");
+  const histdetail::KernelFns& fns = fns_for(kernel);
   if (count == 0) return;
   histdetail::ClassCall call;
   call.offsets = offsets.data();
@@ -216,9 +112,9 @@ void run_class_kernel_packed(const PackedBins& packed,
   call.iota = rows_are_iota(rows, count);
   call.hist = hist.data();
   if (packed.wide()) {
-    fns->cls_u16(packed.codes16(), packed.n_features(), call);
+    fns.cls_u16(packed.codes16(), packed.n_features(), call);
   } else {
-    fns->cls_u8(packed.codes8(), packed.n_features(), call);
+    fns.cls_u8(packed.codes8(), packed.n_features(), call);
   }
 }
 
@@ -245,44 +141,6 @@ void remove_rows_from_class_histogram_packed(
                           weights, /*negate=*/true, hist, kernel);
 }
 
-void remove_rows_from_class_histogram(const BinnedMatrix& binned,
-                                      const std::vector<std::size_t>& offsets,
-                                      int n_classes, const std::uint32_t* rows,
-                                      std::size_t count,
-                                      const std::vector<int>& labels,
-                                      const std::vector<double>& weights,
-                                      std::vector<double>& hist) {
-  const std::size_t k = static_cast<std::size_t>(n_classes);
-  for (std::size_t f = 0; f < binned.n_features(); ++f) {
-    const auto& col = binned.feature(f);
-    double* base = hist.data() + offsets[f] * k;
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint32_t pos = rows[i];
-      base[static_cast<std::size_t>(col[pos]) * k +
-           static_cast<std::size_t>(labels[pos])] -=
-          weights.empty() ? 1.0 : weights[pos];
-    }
-  }
-}
-
-void fill_feature_class_counts(const std::vector<std::uint16_t>& col,
-                               int n_bins, int n_classes,
-                               const std::uint32_t* rows, std::size_t count,
-                               const std::vector<int>& labels,
-                               const std::vector<double>& weights,
-                               std::vector<double>& out) {
-  const std::size_t k = static_cast<std::size_t>(n_classes);
-  const std::size_t cells = static_cast<std::size_t>(n_bins) * k;
-  if (out.size() < cells) out.resize(cells);
-  std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(cells), 0.0);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t pos = rows[i];
-    out[static_cast<std::size_t>(col[pos]) * k +
-        static_cast<std::size_t>(labels[pos])] +=
-        weights.empty() ? 1.0 : weights[pos];
-  }
-}
-
 void fill_feature_class_counts_packed(const PackedBins& packed, int feature,
                                       int n_bins, int n_classes,
                                       const std::uint32_t* rows,
@@ -291,9 +149,7 @@ void fill_feature_class_counts_packed(const PackedBins& packed, int feature,
                                       const std::vector<double>& weights,
                                       std::vector<double>& out,
                                       HistKernel kernel) {
-  const histdetail::KernelFns* fns = fns_for(kernel);
-  FLAML_REQUIRE(fns != nullptr, "'" << hist_kernel_name(kernel)
-                                    << "' is not a packed histogram kernel");
+  const histdetail::KernelFns& fns = fns_for(kernel);
   const std::size_t k = static_cast<std::size_t>(n_classes);
   const std::size_t cells = static_cast<std::size_t>(n_bins) * k;
   if (out.size() < cells) out.resize(cells);
@@ -307,9 +163,9 @@ void fill_feature_class_counts_packed(const PackedBins& packed, int feature,
   call.weights = weights.empty() ? nullptr : weights.data();
   call.out = out.data();
   if (packed.wide()) {
-    fns->fill_u16(packed.codes16(), packed.n_features(), call);
+    fns.fill_u16(packed.codes16(), packed.n_features(), call);
   } else {
-    fns->fill_u8(packed.codes8(), packed.n_features(), call);
+    fns.fill_u8(packed.codes8(), packed.n_features(), call);
   }
 }
 

@@ -27,31 +27,22 @@ struct HistEntry {
   std::uint32_t n = 0;
 };
 
-// Histogram build implementations, selectable via FLAML_HISTOGRAM_KERNEL:
-//   * Scalar   — the legacy column-major reference loop below (no packed
-//                layout); the escape hatch that preserves the pre-kernel
-//                code path byte for byte.
-//   * Portable — packed row-major tiles, plain C++ accumulators.
-//   * Sse2     — packed tiles with a paired 128-bit (g, h) add; compiled
+// The two packed kernel tables. Both run the same adds in the same order
+// over PackedBins (see hist_kernels.h), so they are bit-identical:
+//   * Portable — packed row-major tiles, plain C++ accumulators; the only
+//                table on targets without SSE2.
+//   * Sse2     — the same tiles with a paired 128-bit (g, h) add; compiled
 //                wherever the compiler targets SSE2 (baseline on x86-64).
-// All three produce bit-identical histograms: Portable/Sse2 run the same
-// adds in the same order as Scalar (see hist_kernels.h), which is why the
-// fast path can default on under the existing golden digests.
-enum class HistKernel { Scalar, Portable, Sse2 };
+// Every grower uses best_hist_kernel(), which is fixed when the library is
+// compiled. The explicit `kernel` parameters below exist so the
+// differential tests and the kernel benchmark can run both tables; the
+// column-walk reference they are checked against lives in
+// tests/support/scalar_histogram.h.
+enum class HistKernel { Portable, Sse2 };
 
 const char* hist_kernel_name(HistKernel k);
-// Compiled into this build (Sse2 needs an SSE2 target).
-bool hist_kernel_available(HistKernel k);
-// Fastest available: Sse2 > Portable.
+// Sse2 where the compiler targets it, Portable elsewhere.
 HistKernel best_hist_kernel();
-// Resolve FLAML_HISTOGRAM_KERNEL: unset/"auto"/"simd" -> best available;
-// "scalar"/"portable"/"sse2" force one (FLAML_REQUIRE on an unknown value
-// or an unavailable forced kernel). Re-reads the environment on every
-// call — growers resolve once per tree, not per leaf.
-HistKernel active_hist_kernel();
-// False only when the active kernel is Scalar: substrates skip building the
-// packed layout entirely when the escape hatch is forced.
-bool packed_bins_enabled();
 
 // Per-feature start slots: offsets[f] sums n_bins() of features before f;
 // offsets.back() is the total bin count.
@@ -59,88 +50,46 @@ std::vector<std::size_t> histogram_offsets(const BinMapper& mapper);
 
 // Accumulate (grad, hess, count) per bin for `features` over the rows
 // rows[0..count). hist is resized and zeroed. grad/hess are indexed by row
-// position (the values stored in `rows`), not by rows' index.
-void build_gradient_histogram(const BinnedMatrix& binned,
-                              const std::vector<std::size_t>& offsets,
-                              const std::vector<int>& features,
-                              const std::uint32_t* rows, std::size_t count,
-                              const std::vector<double>& grad,
-                              const std::vector<double>& hess,
-                              std::vector<HistEntry>& hist);
-
-// Packed fast path of build_gradient_histogram: identical signature
-// semantics over the row-major PackedBins layout. `unit_hess` asserts that
-// hess[pos] == 1.0 for every addressed row (the caller checks once per
-// tree); the kernel then drops the per-row count update and derives n from
-// the h sums — exact, since they are integer-valued doubles. `kernel` must
-// be a packed kernel (not Scalar) and available. Bit-identical to the
-// scalar build.
+// position (the values stored in `rows`), not by rows' index. `unit_hess`
+// asserts that hess[pos] == 1.0 for every addressed row (the caller checks
+// once per tree); the kernel then drops the per-row count update and
+// derives n from the h sums — exact, since they are integer-valued doubles.
 void build_gradient_histogram_packed(
     const PackedBins& packed, const std::vector<std::size_t>& offsets,
     const std::vector<int>& features, const std::uint32_t* rows,
     std::size_t count, const std::vector<double>& grad,
     const std::vector<double>& hess, bool unit_hess,
-    std::vector<HistEntry>& hist, HistKernel kernel);
-
-// out = parent - child, element-wise.
-void subtract_gradient_histogram(const std::vector<HistEntry>& parent,
-                                 const std::vector<HistEntry>& child,
-                                 std::vector<HistEntry>& out);
+    std::vector<HistEntry>& hist, HistKernel kernel = best_hist_kernel());
 
 // parent -= child in place (the larger sibling inherits the parent buffer).
 void subtract_gradient_histogram_inplace(std::vector<HistEntry>& parent,
                                          const std::vector<HistEntry>& child);
 
-// Weighted class-count histogram over ALL mapper features (class trees do
+// Weighted class-count histogram over ALL features (class trees do
 // per-split feature sampling instead of per-tree). Empty weights = 1.0 per
 // row. hist is resized and zeroed to offsets.back() * n_classes.
-void build_class_histogram(const BinnedMatrix& binned,
-                           const std::vector<std::size_t>& offsets,
-                           int n_classes, const std::uint32_t* rows,
-                           std::size_t count, const std::vector<int>& labels,
-                           const std::vector<double>& weights,
-                           std::vector<double>& hist);
-
-// Packed fast path of build_class_histogram (all mapper features, like the
-// scalar build). Bit-identical to the scalar build.
 void build_class_histogram_packed(const PackedBins& packed,
                                   const std::vector<std::size_t>& offsets,
                                   int n_classes, const std::uint32_t* rows,
                                   std::size_t count,
                                   const std::vector<int>& labels,
                                   const std::vector<double>& weights,
-                                  std::vector<double>& hist, HistKernel kernel);
+                                  std::vector<double>& hist,
+                                  HistKernel kernel = best_hist_kernel());
 
 // Remove the rows' mass from an inherited parent histogram in place — the
 // class-layout analogue of subtract: afterwards hist equals a direct build
-// over the remaining sibling rows (up to float summation order).
-void remove_rows_from_class_histogram(const BinnedMatrix& binned,
-                                      const std::vector<std::size_t>& offsets,
-                                      int n_classes, const std::uint32_t* rows,
-                                      std::size_t count,
-                                      const std::vector<int>& labels,
-                                      const std::vector<double>& weights,
-                                      std::vector<double>& hist);
-
-// Packed fast path of remove_rows_from_class_histogram. Accumulates -w,
-// which IEEE-754 guarantees equals the legacy `-=` bit for bit.
+// over the remaining sibling rows (up to float summation order). Accumulates
+// -w, which IEEE-754 guarantees equals `-= w` bit for bit.
 void remove_rows_from_class_histogram_packed(
     const PackedBins& packed, const std::vector<std::size_t>& offsets,
     int n_classes, const std::uint32_t* rows, std::size_t count,
     const std::vector<int>& labels, const std::vector<double>& weights,
-    std::vector<double>& hist, HistKernel kernel);
+    std::vector<double>& hist, HistKernel kernel = best_hist_kernel());
 
 // One feature's slice in compact scratch layout [bin * k + c]: the
 // small-leaf path that retains no histogram rebuilds exactly this on
-// demand. out is resized/zeroed to n_bins * n_classes.
-void fill_feature_class_counts(const std::vector<std::uint16_t>& col,
-                               int n_bins, int n_classes,
-                               const std::uint32_t* rows, std::size_t count,
-                               const std::vector<int>& labels,
-                               const std::vector<double>& weights,
-                               std::vector<double>& out);
-
-// Packed fast path of fill_feature_class_counts. The row-major layout also
+// demand. out is resized/zeroed to n_bins * n_classes. The row-major layout
 // helps here: the compact small-leaf scan calls this per candidate feature
 // over the SAME small row set, so the rows' packed lines stay hot across
 // features.
@@ -151,6 +100,6 @@ void fill_feature_class_counts_packed(const PackedBins& packed, int feature,
                                       const std::vector<int>& labels,
                                       const std::vector<double>& weights,
                                       std::vector<double>& out,
-                                      HistKernel kernel);
+                                      HistKernel kernel = best_hist_kernel());
 
 }  // namespace flaml

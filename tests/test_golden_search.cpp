@@ -20,7 +20,6 @@
 
 #include "support/history_digest.h"
 #include "support/resume_test_util.h"
-#include "support/scoped_kernel_env.h"
 
 namespace flaml {
 namespace {
@@ -31,7 +30,6 @@ using testing::expect_history_digest;
 using testing::history_digest;
 using testing::resume_options;
 using testing::resume_tiny_binary;
-using testing::ScopedKernelEnv;
 
 void expect_golden(const AutoML& automl, std::uint64_t expected_digest,
                    const std::string& expected_best_learner,
@@ -130,16 +128,16 @@ void expect_cache_transparent(ResamplingPolicy resampling,
 }
 
 // ---------------------------------------------------------------------------
-// Histogram-kernel goldens: the packed SIMD kernels are documented to be
-// bit-identical to the legacy scalar build (src/tree/histogram.h), so ONE
-// pinned digest must cover every FLAML_HISTOGRAM_KERNEL setting. These runs
-// use real tree learners — the stub lineup never bins data — and pin:
-//   * scalar-forced == the digest (the pre-kernel code path, byte for byte);
-//   * auto (unset) and simd-forced == the SAME digest;
-//   * run-to-run and n_parallel=1 vs 2 determinism under the simd kernels.
-// A mismatch between kernel settings is a kernel correctness bug — never
-// re-pin around it. Re-pin the constants only for intentional changes to the
-// search loop or the tree learners themselves.
+// Real-learner goldens: these runs use real tree learners — the stub lineup
+// never bins data — so they pin the histogram kernels, the growers and the
+// substrate path together. The digests are the ones the pre-kernel scalar
+// column build produced: the packed kernels are bit-identical to that build
+// (now the oracle in tests/support/scalar_histogram.h), whichever table the
+// build compiles in. They also pin run-to-run and n_parallel=1 vs 2
+// determinism.
+// Re-pin the constants only for intentional changes to the search loop or
+// the tree learners themselves; a change from a kernel edit alone is a
+// bit-identity bug.
 
 std::uint64_t real_search_digest(std::size_t n_parallel) {
   const Dataset data = resume_tiny_binary(2024);
@@ -150,8 +148,8 @@ std::uint64_t real_search_digest(std::size_t n_parallel) {
   return history_digest(automl.history());
 }
 
-// Pinned digests of the seed-7 real-learner holdout search. One constant per
-// n_parallel serves every kernel setting.
+// Pinned digests of the seed-7 real-learner holdout search, one per
+// n_parallel.
 constexpr std::uint64_t kRealSerialDigest = 0x4761dfa18c7e2d32ULL;
 constexpr std::uint64_t kRealParallelDigest = 0x7ba5ed9c505cf6f1ULL;
 
@@ -161,29 +159,16 @@ void expect_digest(std::uint64_t got, std::uint64_t want,
   g << std::hex << got;
   w << std::hex << want;
   EXPECT_EQ(g.str(), w.str())
-      << what << ": the kernel-golden search history changed. If the search "
+      << what << ": the real-learner search history changed. If the search "
       << "or the learners changed intentionally, re-pin; if only the "
       << "histogram kernels changed, this is a bit-identity bug.";
 }
 
-TEST(GoldenSearch, ScalarKernelForcedMatchesPinnedDigest) {
-  ScopedKernelEnv env("scalar");
-  expect_digest(real_search_digest(1), kRealSerialDigest, "scalar serial");
-  expect_digest(real_search_digest(2), kRealParallelDigest, "scalar parallel");
-}
-
-TEST(GoldenSearch, SimdKernelMatchesScalarDigestAndIsRunToRunStable) {
-  {
-    ScopedKernelEnv env(nullptr);  // auto: best available packed kernel
-    expect_digest(real_search_digest(1), kRealSerialDigest, "auto serial");
-  }
-  ScopedKernelEnv env("simd");
-  expect_digest(real_search_digest(1), kRealSerialDigest, "simd serial run 1");
-  expect_digest(real_search_digest(1), kRealSerialDigest, "simd serial run 2");
-  expect_digest(real_search_digest(2), kRealParallelDigest,
-                "simd parallel run 1");
-  expect_digest(real_search_digest(2), kRealParallelDigest,
-                "simd parallel run 2");
+TEST(GoldenSearch, RealLearnerDigestIsPinnedAndRunToRunStable) {
+  expect_digest(real_search_digest(1), kRealSerialDigest, "serial run 1");
+  expect_digest(real_search_digest(1), kRealSerialDigest, "serial run 2");
+  expect_digest(real_search_digest(2), kRealParallelDigest, "parallel run 1");
+  expect_digest(real_search_digest(2), kRealParallelDigest, "parallel run 2");
 }
 
 TEST(GoldenSearch, SubstrateCacheTransparentHoldoutSerial) {

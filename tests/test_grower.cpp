@@ -15,7 +15,7 @@ namespace {
 // reduction).
 struct Fixture {
   explicit Fixture(const Dataset& data, int max_bin = 255)
-      : view(data), mapper(BinMapper::fit(view, max_bin)), binned(mapper.encode(view)) {}
+      : view(data), substrate(build_substrate(view, max_bin)) {}
 
   Tree fit(const std::vector<double>& y, GrowerParams params, std::uint64_t seed = 1) {
     std::vector<std::uint32_t> rows(view.n_rows());
@@ -27,14 +27,13 @@ struct Fixture {
     std::iota(features.begin(), features.end(), 0);
     params.reg_lambda = 1e-9;
     params.min_child_weight = 0.0;
-    GradientTreeGrower grower(mapper, binned);
+    GradientTreeGrower grower(substrate);
     Rng rng(seed);
     return grower.grow(rows, grad, hess, features, params, rng);
   }
 
   DataView view;
-  BinMapper mapper;
-  BinnedMatrix binned;
+  BinnedSubstrate substrate;
 };
 
 Dataset step_data() {
@@ -235,6 +234,51 @@ TEST(GradientGrower, ObliviousFitsStepFunction) {
   EXPECT_LT(sse / static_cast<double>(data.n_rows()), 1.0);
 }
 
+TEST(GradientGrower, ObliviousSecondLevelSplitSeesTheLargerChild) {
+  // x0 sends 3/4 of the rows right. Below it, x1 explains the right (larger)
+  // child and x2 the left (smaller) one: summed over the level, x1's gain
+  // (3n/4 * 2^2/4) beats x2's (n/4 * 3^2/4). Only the smaller child's
+  // histogram is built; the larger one's comes from parent − smaller, so a
+  // wrong subtraction hands the shared second split to x2.
+  Dataset data(Task::Regression, {{"x0", ColumnType::Numeric, 0},
+                                  {"x1", ColumnType::Numeric, 0},
+                                  {"x2", ColumnType::Numeric, 0}});
+  std::vector<float> x0, x1, x2;
+  std::vector<double> y;
+  for (int i = 0; i < 400; ++i) {
+    const int m = i / 4;
+    const bool right = i % 4 != 0;
+    const bool a = m % 2 != 0;
+    const bool b = (m / 2) % 2 != 0;
+    x0.push_back(right ? 1.0f : -1.0f);
+    x1.push_back(a ? 1.0f : -1.0f);
+    x2.push_back(b ? 1.0f : -1.0f);
+    y.push_back(right ? 10.0 + (a ? 2.0 : 0.0) : (b ? 3.0 : 0.0));
+  }
+  data.set_column(0, std::move(x0));
+  data.set_column(1, std::move(x1));
+  data.set_column(2, std::move(x2));
+  data.set_labels(std::move(y));
+  Fixture fx(data);
+  GrowerParams params;
+  params.style = TreeStyle::Oblivious;
+  params.oblivious_depth = 2;
+  Tree tree = fx.fit(data.labels(), params);
+  ASSERT_EQ(tree.n_leaves(), 4u);
+  const TreeNode& root = tree.node(0);
+  EXPECT_EQ(root.feature, 0);
+  for (std::int32_t child : {root.left, root.right}) {
+    EXPECT_EQ(tree.node(static_cast<std::size_t>(child)).feature, 1)
+        << "node " << child;
+  }
+  // The larger child is fitted exactly: its leaves hold 10 and 12.
+  for (std::size_t i = 0; i < data.n_rows(); ++i) {
+    if (i % 4 != 0) {
+      EXPECT_NEAR(tree.predict_row(data, i), data.label(i), 1e-6) << "row " << i;
+    }
+  }
+}
+
 TEST(GradientGrower, PureTargetsYieldSingleLeaf) {
   Dataset data(Task::Regression, {{"x", ColumnType::Numeric, 0}});
   data.set_column(0, {1.0f, 2.0f, 3.0f, 4.0f});
@@ -250,7 +294,7 @@ TEST(GradientGrower, PureTargetsYieldSingleLeaf) {
 TEST(GradientGrower, RejectsEmptyRows) {
   Dataset data = step_data();
   Fixture fx(data);
-  GradientTreeGrower grower(fx.mapper, fx.binned);
+  GradientTreeGrower grower(fx.substrate);
   std::vector<double> grad(data.n_rows(), 0.0), hess(data.n_rows(), 1.0);
   std::vector<int> features{0};
   GrowerParams params;

@@ -3,23 +3,31 @@
 //     sibling's rows — exactly, when the inputs are dyadic rationals, and
 //     within float tolerance for arbitrary inputs;
 //   * the compact small-leaf slice equals the matching full-histogram slice.
+// The builds are the column-walk oracle (support/scalar_histogram.h), which
+// the kernel harness holds the packed production builds to at 0 ulp.
 #include "tree/histogram.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
 #include "data/generators.h"
 #include "support/prop.h"
+#include "support/scalar_histogram.h"
 #include "tree/binning.h"
 
 namespace flaml {
 namespace {
 
+using testing::build_class_histogram;
+using testing::build_gradient_histogram;
+using testing::fill_feature_class_counts;
 using testing::PropCase;
+using testing::remove_rows_from_class_histogram;
 
 struct BinnedData {
   Dataset data;
@@ -97,28 +105,21 @@ FLAML_PROP(HistogramProp, SubtractionMatchesDirectBuildExactly, 20) {
   random_partition(prop.rng, n, left, right);
 
   const std::vector<int> features = all_features(bd.mapper);
-  std::vector<HistEntry> parent, left_hist, right_direct, right_sub;
+  std::vector<HistEntry> right_sub, left_hist, right_direct;
   build_gradient_histogram(bd.binned, bd.offsets, features, parent_rows.data(),
-                           parent_rows.size(), grad, hess, parent);
+                           parent_rows.size(), grad, hess, right_sub);
   build_gradient_histogram(bd.binned, bd.offsets, features, left.data(),
                            left.size(), grad, hess, left_hist);
   build_gradient_histogram(bd.binned, bd.offsets, features, right.data(),
                            right.size(), grad, hess, right_direct);
 
-  subtract_gradient_histogram(parent, left_hist, right_sub);
+  // The parent's buffer becomes the right child's, as in the growers.
+  subtract_gradient_histogram_inplace(right_sub, left_hist);
   ASSERT_EQ(right_sub.size(), right_direct.size());
   for (std::size_t i = 0; i < right_sub.size(); ++i) {
     EXPECT_EQ(right_sub[i].g, right_direct[i].g) << "slot " << i;
     EXPECT_EQ(right_sub[i].h, right_direct[i].h) << "slot " << i;
     EXPECT_EQ(right_sub[i].n, right_direct[i].n) << "slot " << i;
-  }
-
-  // The in-place variant must agree with the out-of-place one.
-  subtract_gradient_histogram_inplace(parent, left_hist);
-  for (std::size_t i = 0; i < parent.size(); ++i) {
-    EXPECT_EQ(parent[i].g, right_sub[i].g);
-    EXPECT_EQ(parent[i].h, right_sub[i].h);
-    EXPECT_EQ(parent[i].n, right_sub[i].n);
   }
 }
 
@@ -135,18 +136,43 @@ FLAML_PROP(HistogramProp, SubtractionNearDirectBuildForArbitraryFloats, 10) {
   random_partition(prop.rng, n, left, right);
 
   const std::vector<int> features = all_features(bd.mapper);
-  std::vector<HistEntry> parent, left_hist, right_direct, right_sub;
+  std::vector<HistEntry> right_sub, left_hist, right_direct;
   build_gradient_histogram(bd.binned, bd.offsets, features, parent_rows.data(),
-                           parent_rows.size(), grad, hess, parent);
+                           parent_rows.size(), grad, hess, right_sub);
   build_gradient_histogram(bd.binned, bd.offsets, features, left.data(),
                            left.size(), grad, hess, left_hist);
   build_gradient_histogram(bd.binned, bd.offsets, features, right.data(),
                            right.size(), grad, hess, right_direct);
-  subtract_gradient_histogram(parent, left_hist, right_sub);
+  subtract_gradient_histogram_inplace(right_sub, left_hist);
   for (std::size_t i = 0; i < right_sub.size(); ++i) {
     EXPECT_NEAR(right_sub[i].g, right_direct[i].g, 1e-9 * static_cast<double>(n));
     EXPECT_NEAR(right_sub[i].h, right_direct[i].h, 1e-9 * static_cast<double>(n));
     EXPECT_EQ(right_sub[i].n, right_direct[i].n);
+  }
+}
+
+// Both growers derive the larger child by subtracting in place from the
+// parent's buffer: each slot must be exactly the IEEE difference of the two
+// inputs, the same bits a fresh parent − child vector would hold.
+FLAML_PROP(HistogramProp, InPlaceSubtractionIsSlotwiseIeeeDifference, 10) {
+  const std::size_t n = 1 + prop.rng.uniform_index(500);
+  std::vector<HistEntry> parent(n), child(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    child[i] = {prop.rng.normal() * 1e3, prop.rng.uniform(0.0, 1e3),
+                static_cast<std::uint32_t>(prop.rng.uniform_index(1000))};
+    parent[i] = {prop.rng.normal() * 1e3, prop.rng.uniform(0.0, 1e3),
+                 child[i].n +
+                     static_cast<std::uint32_t>(prop.rng.uniform_index(1000))};
+  }
+  std::vector<HistEntry> diff = parent;
+  subtract_gradient_histogram_inplace(diff, child);
+  ASSERT_EQ(diff.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double g = parent[i].g - child[i].g;
+    const double h = parent[i].h - child[i].h;
+    EXPECT_EQ(std::memcmp(&diff[i].g, &g, sizeof(double)), 0) << "slot " << i;
+    EXPECT_EQ(std::memcmp(&diff[i].h, &h, sizeof(double)), 0) << "slot " << i;
+    EXPECT_EQ(diff[i].n, parent[i].n - child[i].n) << "slot " << i;
   }
 }
 

@@ -5,11 +5,10 @@
 // bit-identical row-sharded predictions. Tree growth itself is serial, but
 // one const grower is shared by every tree a forest bags concurrently (and
 // one binned substrate by concurrent trials), so the grower-level properties
-// call grow() from n_threads threads at once on a fresh grower — racing its
-// lazy packed-bin build too — and require every tree to equal the serial
-// one. Each property serializes both sides through tree_io / model save()
-// and compares the strings, which catches any float-level divergence, not
-// just structural mismatches.
+// call grow() from n_threads threads at once on a fresh grower and require
+// every tree to equal the serial one. Each property serializes both sides
+// through tree_io / model save() and compares the strings, which catches
+// any float-level divergence, not just structural mismatches.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,13 +44,10 @@ std::string tree_string(const Tree& tree) {
 
 struct BinnedFixture {
   Dataset data;
-  BinMapper mapper;
-  BinnedMatrix binned;
+  BinnedSubstrate substrate;
 
   explicit BinnedFixture(Dataset d, int max_bin = 255)
-      : data(std::move(d)),
-        mapper(BinMapper::fit(DataView(data), max_bin)),
-        binned(mapper.encode(DataView(data))) {}
+      : data(std::move(d)), substrate(build_substrate(DataView(data), max_bin)) {}
 };
 
 Dataset random_regression_data(Rng& rng) {
@@ -116,12 +112,12 @@ void expect_gradient_trees_match_serial(const BinnedFixture& fx,
   std::vector<int> features(fx.data.n_cols());
   std::iota(features.begin(), features.end(), 0);
 
-  const GradientTreeGrower serial_grower(fx.mapper, fx.binned);
+  const GradientTreeGrower serial_grower(fx.substrate);
   Rng serial_rng(seed);
   const std::string serial = tree_string(
       serial_grower.grow(rows, grad, hess, features, params, serial_rng));
   for (int n_threads : kThreadCounts) {
-    const GradientTreeGrower grower(fx.mapper, fx.binned);
+    const GradientTreeGrower grower(fx.substrate);
     const std::vector<std::string> trees = grow_concurrently(n_threads, [&] {
       Rng rng(seed);
       return grower.grow(rows, grad, hess, features, params, rng);
@@ -171,12 +167,12 @@ FLAML_PROP(ParallelGrowerProp, ClassTreeBitIdentical, 8) {
   params.extra_random = prop.rng.bernoulli(0.4);
   const std::uint64_t seed = prop.rng.next();
 
-  const ClassTreeGrower serial_grower(fx.mapper, fx.binned, n_classes);
+  const ClassTreeGrower serial_grower(fx.substrate, n_classes);
   Rng serial_rng(seed);
   const std::string serial =
       tree_string(serial_grower.grow(rows, labels, weights, params, serial_rng));
   for (int n_threads : kThreadCounts) {
-    const ClassTreeGrower grower(fx.mapper, fx.binned, n_classes);
+    const ClassTreeGrower grower(fx.substrate, n_classes);
     const std::vector<std::string> trees = grow_concurrently(n_threads, [&] {
       Rng rng(seed);
       return grower.grow(rows, labels, weights, params, rng);

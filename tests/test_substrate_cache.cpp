@@ -17,7 +17,6 @@
 #include "observe/metrics.h"
 #include "observe/trace.h"
 #include "support/prop.h"
-#include "tree/histogram.h"
 
 namespace flaml {
 namespace {
@@ -69,6 +68,37 @@ TEST(SubstrateCache, PrefixMatchesFreshBuildExactly) {
   }
 }
 
+// The growers read histogram codes only from `packed` and no longer check
+// it against `binned`, so every substrate a trainer can be handed (a cached
+// prefix, a cached CV fold, a fresh build) must carry a lossless packed copy
+// of its own column codes.
+TEST(SubstrateCache, EverySubstrateCarriesItsPackedCodes) {
+  Dataset data = binary_data(600);
+  DataView view(data);
+  SubstrateCache cache(&view, 5, observe::Tracer(), nullptr);
+  const auto expect_packed = [](const BinnedSubstrate& s, const std::string& what) {
+    ASSERT_FALSE(s.packed.empty()) << what;
+    ASSERT_EQ(s.packed.n_rows(), s.binned.n_rows()) << what;
+    ASSERT_EQ(s.packed.n_features(), s.binned.n_features()) << what;
+    for (std::size_t r = 0; r < s.binned.n_rows(); ++r) {
+      for (std::size_t f = 0; f < s.binned.n_features(); ++f) {
+        ASSERT_EQ(s.packed.bin(r, f), s.binned.bin(r, f))
+            << what << " row " << r << " feature " << f;
+      }
+    }
+    EXPECT_EQ(s.bytes(), s.binned.n_rows() * s.binned.n_features() *
+                                 sizeof(std::uint16_t) +
+                             s.packed.bytes())
+        << what;
+  };
+  for (int max_bin : {15, 255, 511}) {
+    const std::string tag = " max_bin=" + std::to_string(max_bin);
+    expect_packed(build_substrate(view, max_bin), "fresh" + tag);
+    expect_packed(*cache.prefix(200, max_bin), "prefix" + tag);
+    expect_packed(*cache.fold_train(300, 3, 1, max_bin), "fold" + tag);
+  }
+}
+
 TEST(SubstrateCache, HitMissAndBytesCounters) {
   Dataset data = binary_data(200);
   DataView view(data);
@@ -85,12 +115,10 @@ TEST(SubstrateCache, HitMissAndBytesCounters) {
   EXPECT_EQ(c.hits, 1u);
   EXPECT_EQ(c.misses, 3u);
   // 3 substrates of 100/100/50 rows × 5 features: 2-byte columns, plus the
-  // 1-byte packed row-major plane (all codes ≤ 255 here) unless the scalar
-  // kernel escape hatch disabled packing.
+  // 1-byte packed row-major plane (all codes ≤ 255 here).
   const std::size_t cells = (100 + 100 + 50) * 5;
   const std::size_t expected_bytes =
-      cells * sizeof(std::uint16_t) +
-      (packed_bins_enabled() ? cells * sizeof(std::uint8_t) : 0);
+      cells * sizeof(std::uint16_t) + cells * sizeof(std::uint8_t);
   EXPECT_EQ(c.bytes, expected_bytes);
   EXPECT_DOUBLE_EQ(metrics.value("substrate_cache.hits"), 1.0);
   EXPECT_DOUBLE_EQ(metrics.value("substrate_cache.misses"), 3.0);
@@ -311,35 +339,6 @@ FLAML_PROP(SubstrateCacheProp, CachedEqualsFreshOnSameRows, 25) {
         *fold_sub,
         build_substrate(fresh[static_cast<std::size_t>(f)].train, max_bin),
         "fold");
-  }
-}
-
-// Under a FIXED mapper, a BinnedView window over the first n rows equals
-// encoding those rows directly — encode() is row-independent. (This is why
-// the window type is safe as a test/bench utility, and why the cache must
-// NOT serve slices of a full-size FIT, whose edges depend on the rows seen.)
-FLAML_PROP(SubstrateCacheProp, BinnedViewSliceEqualsDirectEncode, 25) {
-  SyntheticSpec spec;
-  spec.task = Task::Regression;
-  spec.n_rows = 20 + prop.rng.uniform_index(120);
-  spec.n_features = 1 + static_cast<int>(prop.rng.uniform_index(5));
-  spec.missing_fraction = prop.rng.uniform() < 0.3 ? 0.1 : 0.0;
-  spec.seed = prop.seed;
-  Dataset data = make_synthetic(spec);
-  DataView view(data);
-  const int max_bin = 2 + static_cast<int>(prop.rng.uniform_index(100));
-  BinMapper mapper = BinMapper::fit(view, max_bin);
-  BinnedMatrix full = mapper.encode(view);
-
-  const std::size_t n = 1 + prop.rng.uniform_index(view.n_rows());
-  BinnedView window(full, n);
-  ASSERT_EQ(window.n_rows(), n);
-  BinnedMatrix direct = mapper.encode(view.prefix(n));
-  expect_matrices_equal(window.materialize(), direct, "slice");
-  for (std::size_t f = 0; f < direct.n_features(); ++f) {
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(window.bin(i, f), direct.bin(i, f));
-    }
   }
 }
 
